@@ -1,11 +1,11 @@
 """Dense float32 tensors with reverse-mode automatic differentiation and Adam.
 
-The operation set is deliberately small: matmul, elementwise add/sub/mul,
-scalar scaling, mean, square, tanh/mish, column concatenation and a fused
-MSE. Shapes are strict -- elementwise ops require identical shapes, except
-that a 1-d tensor may broadcast against the rows of a 2-d batch (bias
-addition). Everything else raises ShapeError with both shapes in the
-message.
+The operation set is deliberately small: matmul, a fused linear layer
+(x @ w + b), elementwise add/sub/mul, scalar scaling, mean, square,
+tanh/mish, column concatenation and a fused MSE. Shapes are strict --
+elementwise ops require identical shapes, except that a 1-d tensor may
+broadcast against the rows of a 2-d batch (bias addition). Everything else
+raises ShapeError with both shapes in the message.
 
 Graphs are built eagerly by the forward ops and freed when the output goes
 out of scope. Values are float32 everywhere; half precision exists only in
@@ -85,6 +85,15 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         return self.grad
+
+    def _accumulate(self, fresh: np.ndarray) -> None:
+        """Add a gradient contribution that no other code holds and that has
+        this tensor's shape: the first one becomes .grad itself instead of
+        being added to zeros."""
+        if self.grad is None:
+            self.grad = fresh
+        else:
+            self.grad += fresh
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -167,11 +176,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         def _bw() -> None:
             g = out.grad
             if a.requires_grad:
-                a._ensure_grad()
-                a.grad += g * b.data
+                a._accumulate(g * b.data)
             if b.requires_grad:
-                b._ensure_grad()
-                b.grad += g * a.data
+                b._accumulate(g * a.data)
         out._backward = _bw
     return out
 
@@ -181,8 +188,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = _result(a.data * c32, "scale", (a,))
     if out.requires_grad:
         def _bw() -> None:
-            a._ensure_grad()
-            a.grad += out.grad * c32
+            a._accumulate(out.grad * c32)
         out._backward = _bw
     return out
 
@@ -195,11 +201,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def _bw() -> None:
             g = out.grad
             if a.requires_grad:
-                a._ensure_grad()
-                a.grad += g @ b.data.T
+                a._accumulate(g @ b.data.T)
             if b.requires_grad:
-                b._ensure_grad()
-                b.grad += a.data.T @ g
+                b._accumulate(a.data.T @ g)
+        out._backward = _bw
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b in one node: the arithmetic of add(matmul(x, w), b)."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} "
+                         "do not conform")
+    y = x.data @ w.data
+    y += b.data
+    out = _result(y, "linear", (x, w, b))
+    if out.requires_grad:
+        def _bw() -> None:
+            g = out.grad
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
         out._backward = _bw
     return out
 
@@ -209,6 +235,7 @@ def mean(a: Tensor) -> Tensor:
     if out.requires_grad:
         inv_n = np.float32(1.0 / a.size)
         def _bw() -> None:
+            # out.grad has shape (1,): broadcast it over a's shape
             a._ensure_grad()
             a.grad += out.grad * inv_n
         out._backward = _bw
@@ -219,8 +246,7 @@ def square(a: Tensor) -> Tensor:
     out = _result(a.data * a.data, "square", (a,))
     if out.requires_grad:
         def _bw() -> None:
-            a._ensure_grad()
-            a.grad += out.grad * (np.float32(2.0) * a.data)
+            a._accumulate(out.grad * (np.float32(2.0) * a.data))
         out._backward = _bw
     return out
 
@@ -230,8 +256,7 @@ def tanh(a: Tensor) -> Tensor:
     out = _result(y, "tanh", (a,))
     if out.requires_grad:
         def _bw() -> None:
-            a._ensure_grad()
-            a.grad += out.grad * (np.float32(1.0) - y * y)
+            a._accumulate(out.grad * (np.float32(1.0) - y * y))
         out._backward = _bw
     return out
 
@@ -261,14 +286,22 @@ def mish(a: Tensor) -> Tensor:
     out = _result(a.data * t, "mish", (a,))
     if out.requires_grad:
         def _bw() -> None:
-            a._ensure_grad()
-            a.grad += out.grad * (t + a.data * (np.float32(1.0) - t * t) * sig)
+            a._accumulate(out.grad * (t + a.data * (np.float32(1.0) - t * t) * sig))
         out._backward = _bw
     return out
 
 
 def mish_np(x: np.ndarray) -> np.ndarray:
-    return x * _mish_parts(x)[0]
+    """Forward-only mish in two buffers: the ops and order of
+    x * _mish_parts(x)[0], without the sigmoid the backward needs."""
+    e = np.minimum(x, np.float32(20.0))
+    np.exp(e, out=e)
+    t = e + np.float32(2.0)
+    t *= e                               # num = e * (e + 2)
+    np.add(t, np.float32(2.0), out=e)
+    t /= e                               # tanh(softplus(x)) = num / (num + 2)
+    t *= x
+    return t
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -303,8 +336,7 @@ def mse(pred: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     if out.requires_grad:
         coef = np.float32(2.0 / pred.size)
         def _bw() -> None:
-            pred._ensure_grad()
-            pred.grad += out.grad * (coef * diff)
+            pred._accumulate(out.grad * (coef * diff))
         out._backward = _bw
     return out
 
@@ -396,25 +428,46 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # two scratch views per parameter, all backed by one pair of buffers
+        # the size of the largest parameter; step() runs sequentially
+        size = max((p.data.size for p in self.params), default=0)
+        flat = np.empty((2, size), dtype=np.float32)
+        self._scratch = [(flat[0, :p.data.size].reshape(p.data.shape),
+                          flat[1, :p.data.size].reshape(p.data.shape))
+                         for p in self.params]
 
     def step(self) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr * (m/bc1) / (sqrt(v/bc2) + eps) -- evaluated in place, with
+        the float32 operations of that expression in the same order."""
         self.t += 1
         b1 = np.float32(self.beta1)
         b2 = np.float32(self.beta2)
         one = np.float32(1.0)
+        c1 = one - b1
+        c2 = one - b2
         bc1 = np.float32(1.0 - self.beta1 ** self.t)
         bc2 = np.float32(1.0 - self.beta2 ** self.t)
         lr = np.float32(self.lr)
         eps = np.float32(self.eps)
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
+        for p, m, v, (s, d) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
+            if g is None:
+                continue
             m *= b1
-            m += (one - b1) * g
+            np.multiply(c1, g, out=s)
+            m += s
             v *= b2
-            v += (one - b2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            np.multiply(g, g, out=s)
+            s *= c2
+            v += s
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += eps
+            s /= d
+            p.data -= s
 
     def zero_grad(self) -> None:
         for p in self.params:

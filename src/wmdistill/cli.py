@@ -172,8 +172,7 @@ def _planner_from_args(args: argparse.Namespace) -> PlannerConfig:
                          num_samples=args.plan_samples,
                          num_elites=args.plan_elites,
                          iterations=args.plan_iterations,
-                         temperature=args.plan_temperature,
-                         seed=args.seed or 0)
+                         temperature=args.plan_temperature)
 
 
 def _parse_grid_axis(raw: str, conv):

@@ -34,8 +34,10 @@ from .checkpoint import Checkpoint, content_hash, read_checkpoint
 from .dataset import Dataset
 from .seeding import stream
 from .world_model import (LossBreakdown, LossCoeffs, TrainHyper, WorldModel,
-                          model_from_checkpoint, original_loss,
-                          policy_objective)
+                          model_from_checkpoint, stack_steps, train_step)
+# unused here: kept only so that perfbench/tracing.py's patch list, which
+# also patches these names in this module, still resolves
+from .world_model import original_loss, policy_objective  # noqa: F401
 
 MODES = ("reward_only", "latent_linear", "latent_pca")
 
@@ -211,14 +213,15 @@ def reward_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch
     """
     _check_compatible(teacher.model, student)
     obs, actions = batch.obs, batch.actions
-    h = actions.shape[1]
+    b, h = actions.shape[:2]
+    # teacher targets of all h steps from one (h*B)-row forward per head
+    z_t = teacher.model.encode_np(stack_steps(obs[:, :h]))
+    targets = teacher.model.reward_np(z_t, stack_steps(actions)).reshape(h, b)
     terms = []
     for t in range(h):
-        z_t = teacher.model.encode_np(obs[:, t])
-        target = teacher.model.reward_np(z_t, actions[:, t])[:, None]
         z_s = student.encode(Tensor(obs[:, t]))
         pred = student.predict_reward(z_s, Tensor(actions[:, t]))
-        terms.append(ad.mse(pred, target))
+        terms.append(ad.mse(pred, targets[t][:, None]))
     acc = terms[0]
     for term in terms[1:]:
         acc = ad.add(acc, term)
@@ -237,11 +240,13 @@ def latent_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
         raise ValueError(f"mode {mode!r} requires a fitted projection")
     _check_compatible(teacher.model, student)
     obs, actions = batch.obs, batch.actions
-    h = actions.shape[1]
+    b, h = actions.shape[:2]
+    # teacher next-latents of all h steps from one (h*B)-row forward per head
+    z_t = teacher.model.encode_np(stack_steps(obs[:, :h]))
+    z_next_all = teacher.model.dynamics_np(z_t, stack_steps(actions)).reshape(h, b, -1)
     terms = []
     for t in range(h):
-        z_t = teacher.model.encode_np(obs[:, t])
-        z_next_teacher = teacher.model.dynamics_np(z_t, actions[:, t])
+        z_next_teacher = z_next_all[t]
         z_s = student.encode(Tensor(obs[:, t]))
         z_next_student = student.dynamics_step(z_s, Tensor(actions[:, t]))
         if isinstance(projection, PcaProjection):
@@ -279,34 +284,15 @@ def distill_train_step(teacher: FrozenTeacher, student: WorldModel, batch,
                        opt_policy: ad.Adam,
                        projection: Union[LatentProjection, PcaProjection, None] = None,
                        step: int = 0) -> LossBreakdown:
-    """One distillation update. With d_coef = 0 the distillation graph is
-    never built and the update is bitwise identical to train_step."""
-    opt_main.zero_grad()
-    opt_policy.zero_grad()
-    total, parts, latents = original_loss(student, batch, coeffs, hyper.gamma)
-
-    distill_value = 0.0
-    if dcfg.d_coef > 0.0:
-        distill_term = reward_distill_loss(teacher, student, batch)
+    """One distillation update: train_step with the distillation term. With
+    d_coef = 0 that term is never built, so the update is train_step's."""
+    def distill_term() -> Tensor:
+        term = reward_distill_loss(teacher, student, batch)
         if dcfg.mode in ("latent_linear", "latent_pca"):
             latent_term = latent_distill_loss(teacher, student, batch,
                                               dcfg.mode, projection)
-            distill_term = ad.add(distill_term,
-                                  ad.scale(latent_term, dcfg.latent_coef))
-        distill_value = distill_term.item()
-        total = ad.add(total, ad.scale(distill_term, dcfg.d_coef))
+            term = ad.add(term, ad.scale(latent_term, dcfg.latent_coef))
+        return term
 
-    ad.backward(total)
-    opt_main.step()
-
-    student.zero_grad()
-    pi_loss = policy_objective(student, latents, coeffs.rho)
-    ad.backward(pi_loss)
-    opt_policy.step()
-    student.zero_grad()
-
-    student.soft_update_target(hyper.tau)
-    return total_distill_loss(
-        LossBreakdown(parts.consistency, parts.reward, parts.value, 0.0,
-                      parts.total, step),
-        distill_value, dcfg.d_coef, coeffs)
+    return train_step(student, batch, coeffs, hyper, opt_main, opt_policy,
+                      step, distill=distill_term, d_coef=dcfg.d_coef)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -85,8 +86,7 @@ class RunConfig:
                              num_samples=self.plan_samples,
                              num_elites=self.plan_elites,
                              iterations=self.plan_iterations,
-                             temperature=self.plan_temperature,
-                             seed=self.seed)
+                             temperature=self.plan_temperature)
 
 
 def write_config(path, cfg: RunConfig, command: str) -> None:
@@ -440,15 +440,19 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         cfg = replace(base, d_coef=d_coef, batch_size=batch, steps=steps,
                       teacher=teacher, out=str(cell_out), resume="")
         command = "distill" if teacher else "train"
+        error = None
         try:
             report = run_training(cfg, command=command)
             score = report["normalized_score"]
             status = "ok"
         except Exception as exc:  # cell failures are recorded, sweep continues
-            score, status = None, f"error:{type(exc).__name__}"
-        rows.append({"score": score, "status": status, "d_coef": d_coef,
-                     "batch_size": batch, "steps": steps, "teacher": label,
-                     "out_dir": str(cell_out)})
+            score, status, error = None, f"error:{type(exc).__name__}", str(exc)
+            cell_out.mkdir(parents=True, exist_ok=True)
+            (cell_out / "error.txt").write_text(traceback.format_exc(),
+                                                encoding="utf-8")
+        rows.append({"score": score, "status": status, "error": error,
+                     "d_coef": d_coef, "batch_size": batch, "steps": steps,
+                     "teacher": label, "out_dir": str(cell_out)})
 
     def sort_key(row):
         score = row["score"] if row["score"] is not None else -np.inf

@@ -36,7 +36,6 @@ class PlannerConfig:
     noise_std: float = 0.05       # floor for the sampling std
     init_std: float = 1.0
     policy_fraction: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_elites > self.num_samples:

@@ -51,18 +51,24 @@ class QuantReport:
                 f"worst relative error {worst_rel:.3e}")
 
 
+def _to_half(x: np.ndarray, what: str) -> Tuple[np.ndarray, int]:
+    """float32 -> binary16 (RNE, clamped at +-65504); rejects NaN, naming
+    `what`. Returns the halves and the number of clamped magnitudes."""
+    if np.isnan(x).any():
+        raise QuantizationError(f"NaN value in {what}")
+    over = np.abs(x) > F16_MAX
+    clamped = np.where(over, np.copysign(np.float32(F16_MAX), x), x)
+    return clamped.astype(np.float16), int(over.sum())
+
+
 def fp16_round_trip(values: np.ndarray) -> Tuple[np.ndarray, int]:
     """float32 -> binary16 (RNE, clamped at +-65504) -> float32.
 
     Returns the widened values and the number of clamped magnitudes.
     """
-    x = np.asarray(values, dtype=np.float32)
-    if np.isnan(x).any():
-        raise QuantizationError("NaN value in input to fp16 conversion")
-    over = np.abs(x) > F16_MAX
-    clamped = np.where(over, np.copysign(np.float32(F16_MAX), x), x)
-    half = clamped.astype(np.float16)
-    return half.astype(np.float32), int(over.sum())
+    half, over = _to_half(np.asarray(values, dtype=np.float32),
+                          "input to fp16 conversion")
+    return half.astype(np.float32), over
 
 
 def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
@@ -77,12 +83,8 @@ def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
             out.tensors[name] = TensorEntry(name, "f16", entry.shape, entry.data)
             continue
         x = entry.data
-        if np.isnan(x).any():
-            raise QuantizationError(f"NaN value in tensor {name!r}")
-        over = np.abs(x) > F16_MAX
-        clamped = np.where(over, np.copysign(np.float32(F16_MAX), x), x)
-        half = clamped.astype(np.float16)
-        overflow += int(over.sum())
+        half, over = _to_half(x, f"tensor {name!r}")
+        overflow += over
         back = half.astype(np.float32)
         abs_err = np.abs(back - x)
         denom = np.abs(x)

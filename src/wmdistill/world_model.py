@@ -14,7 +14,8 @@ latent rollout. Consistency targets and TD targets
 
 are constants (no gradient flows into them). The policy head is trained by
 a separate optimizer step that maximizes Q over the detached rollout
-latents; the target value head only ever moves through soft updates.
+latents, with the value head held constant; the target value head only
+ever moves through soft updates.
 
 Size presets (latent/hidden widths):
     teacher-L: 64/256, teacher-S: 32/128, student: 16/64
@@ -84,11 +85,15 @@ class MLP:
             self.weights.append(Tensor(w.astype(np.float32), requires_grad=True))
             self.biases.append(Tensor(b.astype(np.float32), requires_grad=True))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
+        """Graph forward. With `frozen` the weights enter as constants, so
+        gradients reach `x` but none is computed for the weights."""
         last = len(self.weights) - 1
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(h, w), b)
+            if frozen:
+                w, b = w.detach(), b.detach()
+            h = ad.linear(h, w, b)
             if i < last:
                 h = self._act(h)
         return ad.tanh(h) if self.out_tanh else h
@@ -97,10 +102,11 @@ class MLP:
         last = len(self.weights) - 1
         h = np.asarray(x, dtype=np.float32)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
+            h = h @ w.data
+            h += b.data
             if i < last:
                 h = self._act_np(h)
-        return np.tanh(h) if self.out_tanh else h
+        return np.tanh(h, out=h) if self.out_tanh else h
 
     def params(self) -> List[Tensor]:
         out = []
@@ -176,8 +182,8 @@ class WorldModel:
     def predict_reward(self, z: Tensor, a: Tensor) -> Tensor:
         return self.reward(ad.concat_cols(z, a))
 
-    def predict_value(self, z: Tensor, a: Tensor) -> Tensor:
-        return self.value(ad.concat_cols(z, a))
+    def predict_value(self, z: Tensor, a: Tensor, frozen: bool = False) -> Tensor:
+        return self.value(ad.concat_cols(z, a), frozen=frozen)
 
     def policy_action(self, z: Tensor) -> Tensor:
         return self.policy(z)
@@ -332,6 +338,12 @@ class LossBreakdown:
                 + d_coef * self.distill)
 
 
+def stack_steps(x: np.ndarray) -> np.ndarray:
+    """(B, T, d) window -> (T*B, d) rows, step-major: rows t*B..(t+1)*B-1
+    hold step t. Lets one numpy forward cover every horizon step."""
+    return x.swapaxes(0, 1).reshape(-1, x.shape[2])
+
+
 def _weighted_sum(terms: List[Tuple[float, Tensor]]) -> Tensor:
     acc: Optional[Tensor] = None
     for weight, term in terms:
@@ -361,8 +373,13 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
         rollout.append(model.dynamics_step(rollout[t], act_t[t]))
 
     # constant targets: encoder latents of obs_1..obs_H serve both the
-    # consistency targets and the TD bootstrap states
-    enc_next = [model.encode_np(obs[:, t]) for t in range(1, h + 1)]
+    # consistency targets and the TD bootstrap states; one (H*B)-row
+    # forward per head covers all H steps
+    b = obs.shape[0]
+    z_next = model.encode_np(stack_steps(obs[:, 1:h + 1]))
+    q_next = model.target_value_np(z_next, model.policy_np(z_next))
+    enc_next = z_next.reshape(h, b, -1)
+    td = rewards[:, :h].T + np.float32(gamma) * q_next.reshape(h, b)
 
     consistency_terms = []
     for t in range(1, h + 1):
@@ -378,12 +395,8 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
 
     value_terms = []
     for t in range(h):
-        z_next = enc_next[t]
-        a_next = model.policy_np(z_next)
-        q_next = model.target_value_np(z_next, a_next)
-        td = rewards[:, t] + np.float32(gamma) * q_next
         pred = model.predict_value(rollout[t], act_t[t])
-        value_terms.append((coeffs.rho ** t, ad.mse(pred, td[:, None])))
+        value_terms.append((coeffs.rho ** t, ad.mse(pred, td[t][:, None])))
     value = _weighted_sum(value_terms)
 
     total = _weighted_sum([(coeffs.alpha_consistency, consistency),
@@ -402,13 +415,17 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
 
 def policy_objective(model: WorldModel, latents: List[np.ndarray],
                      rho: float) -> Tensor:
-    """Negative rho-weighted mean Q(z, pi(z)) over detached rollout latents."""
+    """Negative rho-weighted mean Q(z, pi(z)) over detached rollout latents.
+
+    The value head enters as constants: the gradient reaches only the
+    policy head.
+    """
     h = max(len(latents) - 1, 1)
     terms = []
     for t, z_np in enumerate(latents[:h]):
         z = Tensor(z_np, _validate=False)
         a = model.policy_action(z)
-        q = model.predict_value(z, a)
+        q = model.predict_value(z, a, frozen=True)
         terms.append((-(rho ** t) / h, ad.mean(q)))
     return _weighted_sum(terms)
 
@@ -428,13 +445,25 @@ def make_optimizers(model: WorldModel, hyper: TrainHyper,
 
 
 def train_step(model: WorldModel, batch, coeffs: LossCoeffs, hyper: TrainHyper,
-               opt_main: ad.Adam, opt_policy: ad.Adam, step: int = 0
-               ) -> LossBreakdown:
-    """One from-scratch update: composite loss step, then policy step, then
-    target soft update. Deterministic given (weights, batch)."""
+               opt_main: ad.Adam, opt_policy: ad.Adam, step: int = 0,
+               distill: Optional[Callable[[], Tensor]] = None,
+               d_coef: float = 0.0) -> LossBreakdown:
+    """One update: composite loss step, then policy step, then target soft
+    update. Deterministic given (weights, batch).
+
+    Every training run, from scratch or distilled, goes through here. With
+    d_coef > 0, `distill()` builds the distillation term, which joins the
+    composite loss as d_coef * distill; otherwise it is never called, so a
+    d_coef = 0 distillation step is a from-scratch step.
+    """
     opt_main.zero_grad()
     opt_policy.zero_grad()
     total, parts, latents = original_loss(model, batch, coeffs, hyper.gamma)
+    distill_value = 0.0
+    if distill is not None and d_coef > 0.0:
+        distill_term = distill()
+        distill_value = distill_term.item()
+        total = ad.add(total, ad.scale(distill_term, d_coef))
     ad.backward(total)
     opt_main.step()
 
@@ -445,5 +474,5 @@ def train_step(model: WorldModel, batch, coeffs: LossCoeffs, hyper: TrainHyper,
     model.zero_grad()
 
     model.soft_update_target(hyper.tau)
-    parts.step = step
-    return parts
+    return LossBreakdown.combine(parts.consistency, parts.reward, parts.value,
+                                 distill_value, coeffs, d_coef, step)

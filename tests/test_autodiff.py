@@ -107,6 +107,10 @@ def test_linear_regression_gradients_match_finite_differences():
     assert rel_close(w.grad, fd, TOL)
 
 
+# fixed operands of the linear entries, exact in float32
+LIN_W = np.random.default_rng(21).standard_normal((3, 2)).astype(np.float32).astype(np.float64)
+LIN_B = np.array([0.5, -0.25])
+
 OPS = {
     "add": (lambda a, b: ad.mean(ad.square(ad.add(a, b))),
             lambda a, b: np.mean((a + b) ** 2), ((4, 3), (4, 3))),
@@ -127,6 +131,19 @@ OPS = {
              lambda a, b: np.mean(_mish64(a) * b), ((4, 3), (4, 3))),
     "scale": (lambda a, b: ad.mean(ad.scale(ad.square(a), 1.7)),
               lambda a, b: np.mean(1.7 * a * a), ((4, 3), (1,))),
+    # linear: input and weight gradients, then input and bias gradients
+    "linear": (lambda a, b: ad.mean(ad.square(ad.linear(a, b, Tensor(LIN_B)))),
+               lambda a, b: np.mean((a @ b + LIN_B) ** 2), ((4, 3), (3, 2))),
+    "linear_bias": (lambda a, b: ad.mean(ad.square(ad.linear(a, Tensor(LIN_W), b))),
+                    lambda a, b: np.mean((a @ LIN_W + b) ** 2), ((4, 3), (2,))),
+    # mean straight over a batch op: its (1,) gradient must broadcast first
+    "mean_linear": (lambda a, b: ad.mean(ad.linear(a, b, Tensor(LIN_B))),
+                    lambda a, b: np.mean(a @ b + LIN_B), ((4, 3), (3, 2))),
+    "mean_matmul": (lambda a, b: ad.mean(ad.matmul(a, b)),
+                    lambda a, b: np.mean(a @ b), ((4, 3), (3, 2))),
+    "mean_concat": (lambda a, b: ad.mean(ad.concat_cols(a, b)),
+                    lambda a, b: np.mean(np.concatenate([a, b], axis=1)),
+                    ((4, 3), (4, 2))),
 }
 
 
@@ -145,6 +162,64 @@ def test_op_gradients_match_finite_differences(name):
     assert rel_close(a.grad, fd_a, TOL)
     if b.grad is not None:
         assert rel_close(b.grad, fd_b, TOL)
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_op_gradients_keep_operand_shapes(name):
+    graph_fn, _, shapes = OPS[name]
+    rng = np.random.default_rng(hash(name) % 2 ** 32)
+    a = Tensor(rng.standard_normal(shapes[0]), requires_grad=True)
+    b = Tensor(rng.standard_normal(shapes[1]), requires_grad=True)
+    ad.backward(graph_fn(a, b))
+    assert a.grad.shape == a.shape
+    assert b.grad is None or b.grad.shape == b.shape
+
+
+def test_mean_gradient_has_operand_shape():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    ad.backward(ad.mean(w))
+    assert w.grad.shape == w.shape
+    # a tensor feeding both mean and another op, in either backward order
+    for first_mean in (True, False):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        terms = [ad.mean(x), ad.mean(ad.square(x))]
+        ad.backward(ad.add(*(terms if first_mean else terms[::-1])))
+        assert x.grad.shape == x.shape
+        np.testing.assert_allclose(x.grad, np.full((4, 3), 3.0 / 12.0), rtol=1e-6)
+
+
+def test_linear_matches_add_of_matmul_bitwise():
+    rng = np.random.default_rng(22)
+    x64, w64, b64 = (rng.standard_normal(s) for s in ((9, 5), (5, 4), (4,)))
+    fused = [Tensor(a, requires_grad=True) for a in (x64, w64, b64)]
+    split = [Tensor(a, requires_grad=True) for a in (x64, w64, b64)]
+    y1 = ad.linear(*fused)
+    y2 = ad.add(ad.matmul(split[0], split[1]), split[2])
+    assert np.array_equal(y1.data, y2.data)
+    ad.backward(ad.mean(ad.mish(y1)))
+    ad.backward(ad.mean(ad.mish(y2)))
+    for f, s in zip(fused, split):
+        assert np.array_equal(f.grad, s.grad)
+
+
+def test_linear_shape_errors_name_all_shapes():
+    with pytest.raises(ShapeError) as err:
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                  Tensor(np.zeros(3)))
+    assert "(2, 3)" in str(err.value) and "(3, 4)" in str(err.value)
+    assert "(3,)" in str(err.value)
+
+
+def test_mish_np_bitwise_equals_graph_mish_factor():
+    edge = np.array([0.0, -0.0, -100.0, 19.99, 20.0, 25.0, 1e4], np.float32)
+    rng = np.random.default_rng(23)
+    x = np.concatenate([edge, rng.standard_normal(500).astype(np.float32) * 8])
+    before = x.copy()
+    expected = x * ad._mish_parts(x)[0]
+    got = ad.mish_np(x)
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+    assert np.array_equal(x.view(np.uint32), before.view(np.uint32))
 
 
 def test_graph_evaluation_deterministic():
@@ -244,6 +319,41 @@ class TestAdam:
         p1.grad = np.array([1.0], dtype=np.float32)
         opt.step()
         assert p1.data[0] != 1.0 and p2.data[0] == 1.0
+
+    def test_in_place_step_bitwise_equals_reference_expression(self):
+        def reference(opt, p, m, v, g):
+            # the out-of-place update this optimizer must reproduce
+            b1, b2 = np.float32(opt.beta1), np.float32(opt.beta2)
+            one = np.float32(1.0)
+            bc1 = np.float32(1.0 - opt.beta1 ** opt.t)
+            bc2 = np.float32(1.0 - opt.beta2 ** opt.t)
+            lr, eps = np.float32(opt.lr), np.float32(opt.eps)
+            m = m * b1 + (one - b1) * g
+            v = v * b2 + (one - b2) * (g * g)
+            p = p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            return p, m, v
+
+        rng = np.random.default_rng(24)
+        shapes = [(5, 3), (3,), (7, 2)]
+        # weights small against the step size, so every rounding of the
+        # update shows in them
+        params = [Tensor(rng.standard_normal(s) * 1e-3, requires_grad=True)
+                  for s in shapes]
+        opt = Adam(params, lr=1e-2)
+        ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for p in params]
+        for step in range(50):
+            if step == 25:  # continue from a reloaded state
+                opt = Adam(params, lr=1e-2)
+                opt.load_state([(m, v) for _, m, v in ref], step)
+            grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            ref = [reference(opt, *r, g) for r, g in zip(ref, grads)]
+            for i, (p, (rp, rm, rv)) in enumerate(zip(params, ref)):
+                assert np.array_equal(p.data, rp), (step, i)
+                assert np.array_equal(opt.m[i], rm) and np.array_equal(opt.v[i], rv)
 
     def test_state_roundtrip(self):
         p = Tensor([1.0, 2.0], requires_grad=True)

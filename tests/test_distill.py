@@ -204,6 +204,29 @@ def test_latent_pca_gradients_match_finite_differences():
         assert grads_close(analytic_head_grads(getattr(student, head)), fd), head
 
 
+def test_stacked_teacher_targets_match_per_step_reference():
+    teacher = make_teacher(seed=17)
+    student = WorldModel(3, 1, MICRO_S, seed=18)
+    h = 3
+    batch = make_batch(np.random.default_rng(10), b=16, h=h)
+    cloud = np.random.default_rng(11).standard_normal((500, 4)) * [3, 1, .5, .2]
+    pca = fit_pca(cloud, k=2, seed=0)
+    reward = latent = 0.0
+    for t in range(h):
+        obs_t, act_t = batch.obs[:, t], batch.actions[:, t]
+        zt = teacher.model.encode_np(obs_t)
+        zs = student.encode_np(obs_t)
+        reward += np.mean((teacher.model.reward_np(zt, act_t)
+                           - student.reward_np(zs, act_t)) ** 2)
+        target = pca.project_np(teacher.model.dynamics_np(zt, act_t))
+        latent += np.mean((student.dynamics_np(zs, act_t) - target) ** 2)
+    np.testing.assert_allclose(reward_distill_loss(teacher, student, batch).item(),
+                               reward / h, rtol=1e-5)
+    np.testing.assert_allclose(
+        latent_distill_loss(teacher, student, batch, "latent_pca", pca).item(),
+        latent / h, rtol=1e-5)
+
+
 def test_unfitted_pca_rejected():
     teacher = make_teacher(seed=15)
     student = WorldModel(3, 1, MICRO_S, seed=16)

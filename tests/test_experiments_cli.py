@@ -213,6 +213,12 @@ def test_sweep_records_cell_failures_and_continues(data_dir, tmp_path):
     assert any(s == "ok" for s in statuses)
     rows = (tmp_path / "sweep2" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 2
+    failed = [c for c in report["cells"] if c["status"] != "ok"]
+    assert "nonexistent.tdck" in failed[0]["error"]
+    trace = (Path(failed[0]["out_dir"]) / "error.txt").read_text()
+    assert "Traceback" in trace and "nonexistent.tdck" in trace
+    on_disk = json.loads((tmp_path / "sweep2" / "report.json").read_text())
+    assert [c["error"] for c in on_disk["cells"]] == [c["error"] for c in report["cells"]]
 
 
 def test_sweep_empty_grid_is_usage_error(data_dir, tmp_path):

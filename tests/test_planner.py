@@ -79,7 +79,7 @@ def test_lowering_temperature_never_changes_top_elite():
     tops = []
     for temp in (1.0, 0.1, 1e-3, 1e-7):
         cfg = PlannerConfig(num_samples=32, num_elites=8, iterations=1,
-                            temperature=temp, horizon=3, seed=3)
+                            temperature=temp, horizon=3)
         _, _, info = plan(model, z, cfg, np.random.default_rng(3),
                           return_info=True)
         tops.append(int(np.argmax(info["scores"])))

@@ -222,6 +222,42 @@ def test_policy_objective_gradients_match_finite_differences():
     assert grads_close(analytic_head_grads(model.policy), fd)
 
 
+def test_policy_step_leaves_value_head_without_gradients(monkeypatch):
+    model = micro_model(seed=22)
+    batch = make_batch(np.random.default_rng(15), b=3, h=2)
+    _, _, latents = original_loss(model, batch, LossCoeffs(horizon=2))
+    grad_map = ad.backward(policy_objective(model, latents, 0.5))
+    assert set(grad_map) == set(model.policy.params())
+    for p in model.value.params():
+        assert p.grad is None and p.requires_grad
+
+    def boom(_):
+        raise RuntimeError("objective failed")
+    monkeypatch.setattr(ad, "mean", boom)
+    with pytest.raises(RuntimeError, match="objective failed"):
+        policy_objective(model, latents, 0.5)
+    for p in model.value.params():
+        assert p.grad is None and p.requires_grad
+
+
+def test_stacked_targets_match_per_step_reference():
+    model = micro_model(seed=23)
+    h, gamma, rho = 3, 0.9, 0.5
+    batch = make_batch(np.random.default_rng(16), b=16, h=h)
+    _, parts, latents = original_loss(model, batch, LossCoeffs(rho=rho, horizon=h),
+                                      gamma=gamma)
+    consistency = value = 0.0
+    for t in range(h):
+        enc = model.encode_np(batch.obs[:, t + 1])
+        q_next = model.target_value_np(enc, model.policy_np(enc))
+        td = batch.rewards[:, t] + np.float32(gamma) * q_next
+        pred = model.value_np(latents[t], batch.actions[:, t])
+        consistency += rho ** (t + 1) * np.mean((latents[t + 1] - enc) ** 2)
+        value += rho ** t * np.mean((pred - td) ** 2)
+    np.testing.assert_allclose(parts.consistency, consistency, rtol=1e-5)
+    np.testing.assert_allclose(parts.value, value, rtol=1e-5)
+
+
 def test_td_targets_carry_no_gradient():
     # target head parameters never appear in the gradient map
     model = micro_model(seed=13)
