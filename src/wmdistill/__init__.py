@@ -13,8 +13,7 @@ from .dataset import (Dataset, Episode, TransitionBatch, generate_dataset,
                       load_dataset, read_episode, sample_batch, write_episode)
 from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
                       PcaProjection, distill_train_step, fit_pca,
-                      latent_distill_loss, reward_distill_loss,
-                      total_distill_loss)
+                      latent_distill_loss, reward_distill_loss)
 from .envs import (EnvSpec, GroundTruthModel, MultiTaskSuite, TASKS, make_env,
                    task_score)
 from .evaluate import EvalResult, evaluate_model, normalized_score

@@ -2,7 +2,8 @@
 
 The operation set is deliberately small: matmul, a fused linear layer
 (x @ w + b), elementwise add/sub/mul, scalar scaling, mean, square,
-tanh/mish, column concatenation and a fused MSE. Shapes are strict --
+tanh/mish, column and row concatenation and a fused, optionally
+row-weighted MSE. Shapes are strict --
 elementwise ops require identical shapes, except that a 1-d tensor may
 broadcast against the rows of a 2-d batch (bias addition). Everything else
 raises ShapeError with both shapes in the message.
@@ -62,7 +63,10 @@ class Tensor:
         self.name = name
         self.op = _op
         self._parents: Tuple["Tensor", ...] = ()
-        self._backward: Optional[Callable[[], None]] = None
+        # called with this node's gradient, so that the closure needs no
+        # reference to the node: a graph then holds no reference cycle and
+        # is freed as soon as it is dropped, not at the next gc collection
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -141,8 +145,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                          "(equal shapes or (B,n)+(n,) required)")
     out = _result(a.data + b.data, "add", (a, b))
     if out.requires_grad:
-        def _bw() -> None:
-            g = out.grad
+        def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 a._ensure_grad()
                 a.grad += g
@@ -157,8 +160,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("sub", a, b)
     out = _result(a.data - b.data, "sub", (a, b))
     if out.requires_grad:
-        def _bw() -> None:
-            g = out.grad
+        def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 a._ensure_grad()
                 a.grad += g
@@ -173,8 +175,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     out = _result(a.data * b.data, "mul", (a, b))
     if out.requires_grad:
-        def _bw() -> None:
-            g = out.grad
+        def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 a._accumulate(g * b.data)
             if b.requires_grad:
@@ -187,8 +188,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     c32 = np.float32(c)
     out = _result(a.data * c32, "scale", (a,))
     if out.requires_grad:
-        def _bw() -> None:
-            a._accumulate(out.grad * c32)
+        def _bw(g: np.ndarray) -> None:
+            a._accumulate(g * c32)
         out._backward = _bw
     return out
 
@@ -198,8 +199,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     out = _result(a.data @ b.data, "matmul", (a, b))
     if out.requires_grad:
-        def _bw() -> None:
-            g = out.grad
+        def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
             if b.requires_grad:
@@ -218,8 +218,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y += b.data
     out = _result(y, "linear", (x, w, b))
     if out.requires_grad:
-        def _bw() -> None:
-            g = out.grad
+        def _bw(g: np.ndarray) -> None:
             if x.requires_grad:
                 x._accumulate(g @ w.data.T)
             if w.requires_grad:
@@ -234,10 +233,10 @@ def mean(a: Tensor) -> Tensor:
     out = _result(np.asarray(a.data.mean(), dtype=np.float32), "mean", (a,))
     if out.requires_grad:
         inv_n = np.float32(1.0 / a.size)
-        def _bw() -> None:
-            # out.grad has shape (1,): broadcast it over a's shape
+        def _bw(g: np.ndarray) -> None:
+            # g has shape (1,): broadcast it over a's shape
             a._ensure_grad()
-            a.grad += out.grad * inv_n
+            a.grad += g * inv_n
         out._backward = _bw
     return out
 
@@ -245,8 +244,8 @@ def mean(a: Tensor) -> Tensor:
 def square(a: Tensor) -> Tensor:
     out = _result(a.data * a.data, "square", (a,))
     if out.requires_grad:
-        def _bw() -> None:
-            a._accumulate(out.grad * (np.float32(2.0) * a.data))
+        def _bw(g: np.ndarray) -> None:
+            a._accumulate(g * (np.float32(2.0) * a.data))
         out._backward = _bw
     return out
 
@@ -255,8 +254,8 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = _result(y, "tanh", (a,))
     if out.requires_grad:
-        def _bw() -> None:
-            a._accumulate(out.grad * (np.float32(1.0) - y * y))
+        def _bw(g: np.ndarray) -> None:
+            a._accumulate(g * (np.float32(1.0) - y * y))
         out._backward = _bw
     return out
 
@@ -285,8 +284,8 @@ def mish(a: Tensor) -> Tensor:
     t, sig = _mish_parts(a.data)
     out = _result(a.data * t, "mish", (a,))
     if out.requires_grad:
-        def _bw() -> None:
-            a._accumulate(out.grad * (t + a.data * (np.float32(1.0) - t * t) * sig))
+        def _bw(g: np.ndarray) -> None:
+            a._accumulate(g * (t + a.data * (np.float32(1.0) - t * t) * sig))
         out._backward = _bw
     return out
 
@@ -310,8 +309,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     na = a.shape[1]
     out = _result(np.concatenate([a.data, b.data], axis=1), "concat_cols", (a, b))
     if out.requires_grad:
-        def _bw() -> None:
-            g = out.grad
+        def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 a._ensure_grad()
                 a.grad += g[:, :na]
@@ -322,8 +320,29 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mse(pred: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean over all elements of (pred - target)^2.
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack 2-d tensors with equal column counts on top of each other."""
+    if not parts or any(p.data.ndim != 2 or p.shape[1] != parts[0].shape[1]
+                        for p in parts):
+        raise ShapeError("concat_rows: shapes "
+                         f"{[p.shape for p in parts]} do not conform")
+    out = _result(np.concatenate([p.data for p in parts], axis=0),
+                  "concat_rows", tuple(parts))
+    if out.requires_grad:
+        bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+        def _bw(g: np.ndarray) -> None:
+            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+                if p.requires_grad:
+                    p._ensure_grad()
+                    p.grad += g[lo:hi]
+        out._backward = _bw
+    return out
+
+
+def mse(pred: Tensor, target: Union[Tensor, np.ndarray],
+        row_weights: Optional[np.ndarray] = None) -> Tensor:
+    """Mean over all elements of (pred - target)^2, each row r scaled by the
+    constant row_weights[r] when given.
 
     The target is treated as a constant: no gradient ever flows into it,
     whether it is a Tensor or a raw array.
@@ -332,11 +351,20 @@ def mse(pred: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     if pred.shape != tdata.shape:
         raise ShapeError(f"mse: shapes {pred.shape} and {tdata.shape} do not match")
     diff = pred.data - tdata
-    out = _result(np.asarray(np.mean(diff * diff), dtype=np.float32), "mse", (pred,))
+    sq = diff * diff
+    if row_weights is not None:
+        w = _as_f32(row_weights)
+        if pred.data.ndim != 2 or w.shape != (pred.shape[0],):
+            raise ShapeError(f"mse: row weights of shape {w.shape} do not fit "
+                             f"rows of {pred.shape}")
+        w = w[:, None]
+        sq *= w
+        diff *= w            # the backward's d(loss)/d(pred) is 2/n * w * diff
+    out = _result(np.asarray(np.mean(sq), dtype=np.float32), "mse", (pred,))
     if out.requires_grad:
         coef = np.float32(2.0 / pred.size)
-        def _bw() -> None:
-            pred._accumulate(out.grad * (coef * diff))
+        def _bw(g: np.ndarray) -> None:
+            pred._accumulate(g * (coef * diff))
         out._backward = _bw
     return out
 
@@ -381,7 +409,7 @@ def backward(loss: Tensor) -> Dict[Tensor, np.ndarray]:
     loss.grad += np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node.grad)
 
     leaves = [n for n in order if not n._parents and n.requires_grad and n.grad is not None]
     if not all(np.all(np.isfinite(leaf.grad)) for leaf in leaves):
@@ -400,7 +428,7 @@ def _diagnose_bad_gradient(loss: Tensor, order: List[Tensor]) -> None:
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
-        node._backward()
+        node._backward(node.grad)
         for parent in node._parents:
             if parent.grad is not None and not np.all(np.isfinite(parent.grad)):
                 where = f" into tensor {parent.name!r}" if parent.name else ""

@@ -100,7 +100,13 @@ def _decode_metadata(blob: bytes) -> Dict[str, str]:
     return metadata
 
 
-def serialize(ckpt: Checkpoint) -> bytes:
+def _serialized_parts(ckpt: Checkpoint) -> list:
+    """The serialized checkpoint as a list of byte buffers, in file order.
+
+    On little-endian hosts tensor payloads are views of the tensors' own
+    memory, not copies, so writing or hashing the parts one by one never
+    holds the whole file.
+    """
     parts = [MAGIC, struct.pack("<I", VERSION)]
     meta = _encode_metadata(ckpt.metadata)
     parts.append(struct.pack("<I", len(meta)))
@@ -115,8 +121,12 @@ def serialize(ckpt: Checkpoint) -> bytes:
         parts.append(struct.pack("<BB", _DTYPE_CODES[entry.dtype], len(entry.shape)))
         parts.append(struct.pack(f"<{len(entry.shape)}I", *entry.shape))
         wire = "<f4" if entry.dtype == "f32" else "<u2"
-        parts.append(entry.data.astype(wire, copy=False).tobytes())
-    return b"".join(parts)
+        parts.append(memoryview(entry.data.astype(wire, copy=False)).cast("B"))
+    return parts
+
+
+def serialize(ckpt: Checkpoint) -> bytes:
+    return b"".join(_serialized_parts(ckpt))
 
 
 def deserialize(raw: bytes, origin: str = "<bytes>") -> Checkpoint:
@@ -160,14 +170,25 @@ def deserialize(raw: bytes, origin: str = "<bytes>") -> Checkpoint:
 
 
 def content_hash(ckpt: Checkpoint) -> str:
-    return hashlib.sha256(serialize(ckpt)).hexdigest()
+    digest = hashlib.sha256()
+    for part in _serialized_parts(ckpt):
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def write_checkpoint(path, ckpt: Checkpoint) -> str:
-    """Write and return the content hash of what was written."""
-    blob = serialize(ckpt)
-    Path(path).write_bytes(blob)
-    return hashlib.sha256(blob).hexdigest()
+    """Write and return the content hash of what was written.
+
+    The parts are built before the file is opened, so a checkpoint that
+    cannot be serialized leaves no file behind.
+    """
+    parts = _serialized_parts(ckpt)
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def read_checkpoint(path) -> Checkpoint:

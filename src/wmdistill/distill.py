@@ -204,78 +204,78 @@ def fit_pca_projection(teacher: FrozenTeacher, dataset: Dataset, k: int,
                    k, seed=seed)
 
 
-def reward_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch
-                        ) -> Tensor:
+def teacher_latents(teacher: FrozenTeacher, batch) -> np.ndarray:
+    """The teacher's latents of obs_0..H-1 as (H*B) step-major rows."""
+    return teacher.model.encode_np(stack_steps(batch.obs[:, :batch.actions.shape[1]]))
+
+
+def student_latents(student: WorldModel, batch, z0: Optional[Tensor] = None
+                    ) -> Tensor:
+    """Graph latents of obs_0..H-1 as (H*B) step-major rows. With `z0`, the
+    student's graph encode of obs_0, only obs_1..H-1 are encoded here."""
+    obs, h = batch.obs, batch.actions.shape[1]
+    if z0 is None:
+        return student.encode(Tensor(stack_steps(obs[:, :h])))
+    if h == 1:
+        return z0
+    return ad.concat_rows([z0, student.encode(Tensor(stack_steps(obs[:, 1:h])))])
+
+
+def reward_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
+                        z_student: Optional[Tensor] = None,
+                        z_teacher: Optional[np.ndarray] = None) -> Tensor:
     """Mean over batch and horizon steps of (R_teacher - R_student)^2.
 
-    Teacher predictions are constants; the gradient flows only into the
-    student (its encoder and reward head).
+    `z_student` and `z_teacher` are the models' latents of obs_0..H-1 from
+    `student_latents` and `teacher_latents`, when the caller already has
+    them. Teacher predictions are constants; the gradient flows only into
+    the student (its encoder and reward head). Every step has B rows, so
+    one MSE over all H*B rows is the mean of the H per-step MSEs.
     """
     _check_compatible(teacher.model, student)
-    obs, actions = batch.obs, batch.actions
-    b, h = actions.shape[:2]
-    # teacher targets of all h steps from one (h*B)-row forward per head
-    z_t = teacher.model.encode_np(stack_steps(obs[:, :h]))
-    targets = teacher.model.reward_np(z_t, stack_steps(actions)).reshape(h, b)
-    terms = []
-    for t in range(h):
-        z_s = student.encode(Tensor(obs[:, t]))
-        pred = student.predict_reward(z_s, Tensor(actions[:, t]))
-        terms.append(ad.mse(pred, targets[t][:, None]))
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = ad.add(acc, term)
-    return ad.scale(acc, 1.0 / h)
+    actions = stack_steps(batch.actions)
+    if z_teacher is None:
+        z_teacher = teacher_latents(teacher, batch)
+    if z_student is None:
+        z_student = student_latents(student, batch)
+    targets = teacher.model.reward_np(z_teacher, actions)
+    pred = student.predict_reward(z_student, Tensor(actions))
+    return ad.mse(pred, targets[:, None])
 
 
 def latent_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
                         mode: str,
-                        projection: Union[LatentProjection, PcaProjection, None]
-                        ) -> Tensor:
+                        projection: Union[LatentProjection, PcaProjection, None],
+                        z_student: Optional[Tensor] = None,
+                        z_teacher: Optional[np.ndarray] = None) -> Tensor:
     """MSE between projected teacher next-latent predictions and the
-    student's next-latent predictions, averaged over batch and steps."""
+    student's next-latent predictions, averaged over batch and steps.
+    `z_student` and `z_teacher` are as in `reward_distill_loss`."""
     if mode not in ("latent_linear", "latent_pca"):
         raise ValueError(f"latent distillation requires a latent mode, got {mode!r}")
     if projection is None:
         raise ValueError(f"mode {mode!r} requires a fitted projection")
     _check_compatible(teacher.model, student)
-    obs, actions = batch.obs, batch.actions
-    b, h = actions.shape[:2]
-    # teacher next-latents of all h steps from one (h*B)-row forward per head
-    z_t = teacher.model.encode_np(stack_steps(obs[:, :h]))
-    z_next_all = teacher.model.dynamics_np(z_t, stack_steps(actions)).reshape(h, b, -1)
-    terms = []
-    for t in range(h):
-        z_next_teacher = z_next_all[t]
-        z_s = student.encode(Tensor(obs[:, t]))
-        z_next_student = student.dynamics_step(z_s, Tensor(actions[:, t]))
-        if isinstance(projection, PcaProjection):
-            target = projection.project_np(z_next_teacher)
-            if target.shape[1] != student.latent_dim:
-                raise ad.ShapeError(f"projected teacher latent has dim "
-                                    f"{target.shape[1]}, student expects "
-                                    f"{student.latent_dim}")
-            terms.append(ad.mse(z_next_student, target))
-        else:
-            projected = projection.project(Tensor(z_next_teacher, _validate=False))
-            if projected.shape[1] != student.latent_dim:
-                raise ad.ShapeError(f"projected teacher latent has dim "
-                                    f"{projected.shape[1]}, student expects "
-                                    f"{student.latent_dim}")
-            diff = ad.sub(z_next_student, projected)
-            terms.append(ad.mean(ad.square(diff)))
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = ad.add(acc, term)
-    return ad.scale(acc, 1.0 / h)
-
-
-def total_distill_loss(original: LossBreakdown, distill: float, d_coef: float,
-                       coeffs: LossCoeffs) -> LossBreakdown:
-    """Combine an original-loss breakdown with a distillation term."""
-    return LossBreakdown.combine(original.consistency, original.reward,
-                                 original.value, distill, coeffs, d_coef,
-                                 step=original.step)
+    actions = stack_steps(batch.actions)
+    if z_teacher is None:
+        z_teacher = teacher_latents(teacher, batch)
+    if z_student is None:
+        z_student = student_latents(student, batch)
+    z_next_teacher = teacher.model.dynamics_np(z_teacher, actions)
+    z_next_student = student.dynamics_step(z_student, Tensor(actions))
+    if isinstance(projection, PcaProjection):
+        target = projection.project_np(z_next_teacher)
+        if target.shape[1] != student.latent_dim:
+            raise ad.ShapeError(f"projected teacher latent has dim "
+                                f"{target.shape[1]}, student expects "
+                                f"{student.latent_dim}")
+        return ad.mse(z_next_student, target)
+    projected = projection.project(Tensor(z_next_teacher, _validate=False))
+    if projected.shape[1] != student.latent_dim:
+        raise ad.ShapeError(f"projected teacher latent has dim "
+                            f"{projected.shape[1]}, student expects "
+                            f"{student.latent_dim}")
+    return ad.mean(ad.square(ad.sub(z_next_student, projected)))
 
 
 def distill_train_step(teacher: FrozenTeacher, student: WorldModel, batch,
@@ -285,12 +285,17 @@ def distill_train_step(teacher: FrozenTeacher, student: WorldModel, batch,
                        projection: Union[LatentProjection, PcaProjection, None] = None,
                        step: int = 0) -> LossBreakdown:
     """One distillation update: train_step with the distillation term. With
-    d_coef = 0 that term is never built, so the update is train_step's."""
-    def distill_term() -> Tensor:
-        term = reward_distill_loss(teacher, student, batch)
+    d_coef = 0 that term is never built, so the update is train_step's.
+
+    The term reuses train_step's graph encode of obs_0, and its losses share
+    one student and one teacher encode of the batch."""
+    def distill_term(z0: Tensor) -> Tensor:
+        z_s = student_latents(student, batch, z0)
+        z_t = teacher_latents(teacher, batch)
+        term = reward_distill_loss(teacher, student, batch, z_s, z_t)
         if dcfg.mode in ("latent_linear", "latent_pca"):
             latent_term = latent_distill_loss(teacher, student, batch,
-                                              dcfg.mode, projection)
+                                              dcfg.mode, projection, z_s, z_t)
             term = ad.add(term, ad.scale(latent_term, dcfg.latent_coef))
         return term
 

@@ -269,18 +269,11 @@ class WorldModel:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> WorldModel:
-    """Rebuild a model from a checkpoint, widening f16 weights to f32."""
+    """Rebuild a model from a checkpoint, widening f16 weights to f32. The
+    architecture comes from the checkpoint's metadata alone."""
     md = ckpt.metadata
-    preset_name = md["preset"]
-    if preset_name in PRESETS:
-        preset = PRESETS[preset_name]
-        if (preset.latent_dim != int(md["latent_dim"])
-                or preset.hidden_dim != int(md["hidden_dim"])):
-            preset = SizePreset(preset_name, int(md["latent_dim"]),
-                                int(md["hidden_dim"]), int(md["n_hidden"]))
-    else:
-        preset = SizePreset(preset_name, int(md["latent_dim"]),
-                            int(md["hidden_dim"]), int(md["n_hidden"]))
+    preset = SizePreset(md["preset"], int(md["latent_dim"]),
+                        int(md["hidden_dim"]), int(md["n_hidden"]))
     model = WorldModel(int(md["obs_dim"]), int(md["act_dim"]), preset,
                        activation=md.get("activation", "mish"),
                        seed=int(md.get("seed", "0")))
@@ -353,10 +346,12 @@ def _weighted_sum(terms: List[Tuple[float, Tensor]]) -> Tensor:
     return acc
 
 
-def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0.99
+def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0.99,
+                  z0: Optional[Tensor] = None
                   ) -> Tuple[Tensor, LossBreakdown, List[np.ndarray]]:
     """Composite consistency/reward/value loss over an H-step window.
 
+    `z0` is the graph encode of obs_0 when the caller already has it.
     Returns the scalar graph tensor to backprop, the float breakdown, and
     the detached rollout latents (for the separate policy step).
     """
@@ -366,11 +361,11 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
         raise ValueError(f"batch window holds {obs.shape[1] - 1} steps, "
                          f"horizon {h} requires at least {h}")
 
-    act_t = [Tensor(actions[:, t]) for t in range(h)]
-    z = model.encode(Tensor(obs[:, 0]))
-    rollout = [z]
+    if z0 is None:
+        z0 = model.encode(Tensor(obs[:, 0]))
+    rollout = [z0]
     for t in range(h):
-        rollout.append(model.dynamics_step(rollout[t], act_t[t]))
+        rollout.append(model.dynamics_step(rollout[t], Tensor(actions[:, t])))
 
     # constant targets: encoder latents of obs_1..obs_H serve both the
     # consistency targets and the TD bootstrap states; one (H*B)-row
@@ -378,26 +373,19 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
     b = obs.shape[0]
     z_next = model.encode_np(stack_steps(obs[:, 1:h + 1]))
     q_next = model.target_value_np(z_next, model.policy_np(z_next))
-    enc_next = z_next.reshape(h, b, -1)
-    td = rewards[:, :h].T + np.float32(gamma) * q_next.reshape(h, b)
+    rew = stack_steps(rewards[:, :h, None])
+    td = rew + np.float32(gamma) * q_next[:, None]
 
-    consistency_terms = []
-    for t in range(1, h + 1):
-        consistency_terms.append((coeffs.rho ** t,
-                                  ad.mse(rollout[t], enc_next[t - 1])))
-    consistency = _weighted_sum(consistency_terms)
-
-    reward_terms = []
-    for t in range(h):
-        pred = model.predict_reward(rollout[t], act_t[t])
-        reward_terms.append((coeffs.rho ** t, ad.mse(pred, rewards[:, t, None])))
-    reward = _weighted_sum(reward_terms)
-
-    value_terms = []
-    for t in range(h):
-        pred = model.predict_value(rollout[t], act_t[t])
-        value_terms.append((coeffs.rho ** t, ad.mse(pred, td[t][:, None])))
-    value = _weighted_sum(value_terms)
+    # every horizon sum sum_t rho^t * MSE_t is one row-weighted MSE over the
+    # H*B step-major rows: mean_{rows} (H rho^t) * err^2 = sum_t rho^t MSE_t
+    rho_t = coeffs.rho ** np.arange(h + 1)
+    consistency = ad.mse(ad.concat_rows(rollout[1:]), z_next,
+                         np.repeat(h * rho_t[1:], b))
+    za = ad.concat_cols(ad.concat_rows(rollout[:h]),
+                        Tensor(stack_steps(actions[:, :h])))
+    head_weights = np.repeat(h * rho_t[:h], b)
+    reward = ad.mse(model.reward(za), rew, head_weights)
+    value = ad.mse(model.value(za), td, head_weights)
 
     total = _weighted_sum([(coeffs.alpha_consistency, consistency),
                            (coeffs.alpha_reward, reward),
@@ -415,19 +403,18 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
 
 def policy_objective(model: WorldModel, latents: List[np.ndarray],
                      rho: float) -> Tensor:
-    """Negative rho-weighted mean Q(z, pi(z)) over detached rollout latents.
+    """Negative rho-weighted mean Q(z, pi(z)) over detached rollout latents:
+    -sum_t rho^t / H * mean_b Q_t, as one mean over the stacked H*B rows
+    with row weights -rho^t.
 
     The value head enters as constants: the gradient reaches only the
     policy head.
     """
     h = max(len(latents) - 1, 1)
-    terms = []
-    for t, z_np in enumerate(latents[:h]):
-        z = Tensor(z_np, _validate=False)
-        a = model.policy_action(z)
-        q = model.predict_value(z, a, frozen=True)
-        terms.append((-(rho ** t) / h, ad.mean(q)))
-    return _weighted_sum(terms)
+    z = Tensor(np.concatenate(latents[:h]), _validate=False)
+    q = model.predict_value(z, model.policy_action(z), frozen=True)
+    weights = np.repeat(-(rho ** np.arange(h)), latents[0].shape[0])
+    return ad.mean(ad.mul(q, Tensor(weights[:, None], _validate=False)))
 
 
 @dataclass
@@ -446,22 +433,24 @@ def make_optimizers(model: WorldModel, hyper: TrainHyper,
 
 def train_step(model: WorldModel, batch, coeffs: LossCoeffs, hyper: TrainHyper,
                opt_main: ad.Adam, opt_policy: ad.Adam, step: int = 0,
-               distill: Optional[Callable[[], Tensor]] = None,
+               distill: Optional[Callable[[Tensor], Tensor]] = None,
                d_coef: float = 0.0) -> LossBreakdown:
     """One update: composite loss step, then policy step, then target soft
     update. Deterministic given (weights, batch).
 
     Every training run, from scratch or distilled, goes through here. With
-    d_coef > 0, `distill()` builds the distillation term, which joins the
-    composite loss as d_coef * distill; otherwise it is never called, so a
-    d_coef = 0 distillation step is a from-scratch step.
+    d_coef > 0, `distill(z0)` builds the distillation term from the graph
+    encode z0 of obs_0 that the composite loss also uses; the term joins
+    the composite loss as d_coef * distill. Otherwise it is never called,
+    so a d_coef = 0 distillation step is a from-scratch step.
     """
     opt_main.zero_grad()
     opt_policy.zero_grad()
-    total, parts, latents = original_loss(model, batch, coeffs, hyper.gamma)
+    z0 = model.encode(Tensor(batch.obs[:, 0]))
+    total, parts, latents = original_loss(model, batch, coeffs, hyper.gamma, z0=z0)
     distill_value = 0.0
     if distill is not None and d_coef > 0.0:
-        distill_term = distill()
+        distill_term = distill(z0)
         distill_value = distill_term.item()
         total = ad.add(total, ad.scale(distill_term, d_coef))
     ad.backward(total)

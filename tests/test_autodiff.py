@@ -1,5 +1,8 @@
 """Tensor op forward values, gradients vs float64 finite differences, Adam."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,9 @@ def test_linear_regression_gradients_match_finite_differences():
 LIN_W = np.random.default_rng(21).standard_normal((3, 2)).astype(np.float32).astype(np.float64)
 LIN_B = np.array([0.5, -0.25])
 
+ROWS_C = np.random.default_rng(25).standard_normal((3, 3)).astype(np.float32).astype(np.float64)
+ROW_W = np.array([3.0, 1.5, 0.75, 0.375])
+
 OPS = {
     "add": (lambda a, b: ad.mean(ad.square(ad.add(a, b))),
             lambda a, b: np.mean((a + b) ** 2), ((4, 3), (4, 3))),
@@ -144,6 +150,15 @@ OPS = {
     "mean_concat": (lambda a, b: ad.mean(ad.concat_cols(a, b)),
                     lambda a, b: np.mean(np.concatenate([a, b], axis=1)),
                     ((4, 3), (4, 2))),
+    # parts of unequal row counts around a constant part
+    "concat_rows": (lambda a, b: ad.mean(ad.square(
+                        ad.concat_rows([a, Tensor(ROWS_C), b]))),
+                    lambda a, b: np.mean(np.concatenate([a, ROWS_C, b]) ** 2),
+                    ((4, 3), (2, 3))),
+    # the target (b) is a constant, so only a gets a gradient
+    "mse_weighted": (lambda a, b: ad.mse(a, b, ROW_W),
+                     lambda a, b: np.mean(ROW_W[:, None] * (a - b) ** 2),
+                     ((4, 3), (4, 3))),
 }
 
 
@@ -186,6 +201,28 @@ def test_mean_gradient_has_operand_shape():
         ad.backward(ad.add(*(terms if first_mean else terms[::-1])))
         assert x.grad.shape == x.shape
         np.testing.assert_allclose(x.grad, np.full((4, 3), 3.0 / 12.0), rtol=1e-6)
+
+
+def test_mse_with_unit_row_weights_equals_unweighted_bitwise():
+    rng = np.random.default_rng(26)
+    x64, y64 = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    plain, weighted = (Tensor(x64, requires_grad=True) for _ in range(2))
+    l1 = ad.mse(plain, y64)
+    l2 = ad.mse(weighted, y64, np.ones(6))
+    assert np.array_equal(l1.data, l2.data)
+    ad.backward(l1)
+    ad.backward(l2)
+    assert np.array_equal(plain.grad, weighted.grad)
+
+
+def test_concat_rows_and_row_weights_reject_bad_shapes():
+    with pytest.raises(ShapeError) as err:
+        ad.concat_rows([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))])
+    assert "(2, 3)" in str(err.value) and "(2, 4)" in str(err.value)
+    with pytest.raises(ShapeError):
+        ad.concat_rows([])
+    with pytest.raises(ShapeError):
+        ad.mse(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), np.ones(3))
 
 
 def test_linear_matches_add_of_matmul_bitwise():
@@ -236,6 +273,22 @@ def test_graph_evaluation_deterministic():
     l1, g1 = run()
     l2, g2 = run()
     assert np.array_equal(l1, l2) and np.array_equal(g1, g2)
+
+
+def test_dropped_graph_is_freed_without_the_cycle_collector():
+    x = Tensor(np.ones((4, 3)))
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    gc.disable()
+    try:
+        hidden = ad.mish(ad.linear(x, w, b))
+        loss = ad.mse(ad.concat_rows([hidden, hidden]), np.zeros((8, 2)))
+        ad.backward(loss)
+        alive = [weakref.ref(hidden.data), weakref.ref(hidden.grad)]
+        del hidden, loss
+        assert all(ref() is None for ref in alive)
+    finally:
+        gc.enable()
 
 
 def test_repeated_backward_accumulates():

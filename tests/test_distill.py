@@ -9,8 +9,7 @@ from wmdistill.dataset import TransitionBatch
 from wmdistill.distill import (DegenerateDataError, DistillConfig,
                                FrozenTeacher, LatentProjection, PcaProjection,
                                distill_train_step, fit_pca,
-                               latent_distill_loss, reward_distill_loss,
-                               total_distill_loss)
+                               latent_distill_loss, reward_distill_loss)
 from wmdistill.world_model import (LossBreakdown, LossCoeffs, SizePreset,
                                    TrainHyper, WorldModel, make_optimizers,
                                    original_loss, train_step)
@@ -115,11 +114,11 @@ def test_total_distill_loss_arithmetic():
     coeffs = LossCoeffs(1.0, 1.0, 0.5)
     original = LossBreakdown.combine(0.4, 0.3, 0.6, 0.0, coeffs, 0.0)
     assert original.total == 1.0
-    combined = total_distill_loss(original, 0.5, 0.4, coeffs)
+    combined = LossBreakdown.combine(0.4, 0.3, 0.6, 0.5, coeffs, 0.4)
     assert abs(combined.total - 1.2) < 1e-12
     assert combined.distill == 0.5
     # d_coef = 0 keeps the original total exactly
-    same = total_distill_loss(original, 0.5, 0.0, coeffs)
+    same = LossBreakdown.combine(0.4, 0.3, 0.6, 0.5, coeffs, 0.0)
     assert same.total == original.total
     # the config accepts the extended-run coefficient
     assert DistillConfig(d_coef=0.45).d_coef == 0.45
@@ -128,7 +127,8 @@ def test_total_distill_loss_arithmetic():
 def test_total_strictly_increasing_in_d_coef():
     coeffs = LossCoeffs(1.0, 1.0, 0.5)
     original = LossBreakdown.combine(0.4, 0.3, 0.6, 0.0, coeffs, 0.0)
-    totals = [total_distill_loss(original, 0.7, d, coeffs).total
+    totals = [LossBreakdown.combine(original.consistency, original.reward,
+                                    original.value, 0.7, coeffs, d).total
               for d in (0.0, 0.1, 0.4, 0.45, 0.9)]
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
@@ -343,6 +343,72 @@ def test_d_coef_zero_is_bitwise_identical_to_from_scratch():
     for (n1, p1), (n2, p2) in zip(distilled.named_parameters(),
                                   scratch.named_parameters()):
         assert np.array_equal(p1.data, p2.data), n1
+
+
+def _one_distill_step(mode, d_coef=0.5, seed=64):
+    """(teacher, student, step) for one distill_train_step on a fixed batch."""
+    teacher = make_teacher(seed=53)
+    student = WorldModel(3, 1, MICRO_S, seed=seed)
+    hyper = TrainHyper(lr=1e-3)
+    projection = None
+    if mode == "latent_linear":
+        projection = LatentProjection(4, 2, rng=np.random.default_rng(0))
+    elif mode == "latent_pca":
+        cloud = np.random.default_rng(1).standard_normal((1500, 4)) * [3, 2, 1, .5]
+        projection = fit_pca(cloud, k=2, seed=0)
+    lin = projection.params() if isinstance(projection, LatentProjection) else None
+    om, op = make_optimizers(student, hyper, lin)
+    batch = make_batch(np.random.default_rng(103), b=6, h=3)
+    dcfg = DistillConfig(d_coef=d_coef, mode=mode)
+
+    def step():
+        return distill_train_step(teacher, student, batch, LossCoeffs(horizon=3),
+                                  dcfg, hyper, om, op, projection)
+    return teacher, student, batch, projection, step
+
+
+@pytest.mark.parametrize("mode", ["reward_only", "latent_linear", "latent_pca"])
+def test_one_teacher_encode_per_distill_step(mode):
+    teacher, _, _, _, step = _one_distill_step(mode)
+    forward_np = teacher.model.encoder.forward_np
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return forward_np(x)
+
+    teacher.model.encoder.forward_np = counted
+    for n in (1, 2):
+        step()
+        assert len(calls) == n
+    assert calls == [6 * 3, 6 * 3]
+
+
+@pytest.mark.parametrize("d_coef,expected", [(0.5, 2), (0.0, 1)])
+def test_student_encodes_per_reward_only_step(monkeypatch, d_coef, expected):
+    _, student, _, _, step = _one_distill_step("reward_only", d_coef=d_coef)
+    encode = WorldModel.encode
+    calls = []
+
+    def counted(model, obs):
+        calls.append(model)
+        return encode(model, obs)
+
+    monkeypatch.setattr(WorldModel, "encode", counted)
+    step()
+    assert calls == [student] * expected
+
+
+@pytest.mark.parametrize("mode", ["reward_only", "latent_linear", "latent_pca"])
+def test_distill_step_term_equals_standalone_losses(mode):
+    # the step's term shares one student encode with the composite loss and
+    # one teacher encode between its losses; it is the same function
+    teacher, student, batch, projection, step = _one_distill_step(mode)
+    expected = reward_distill_loss(teacher, student, batch).item()
+    if mode != "reward_only":
+        expected += latent_distill_loss(teacher, student, batch, mode,
+                                        projection).item()
+    np.testing.assert_allclose(step().distill, expected, rtol=1e-6)
 
 
 def test_teacher_fingerprint_unchanged_by_training():

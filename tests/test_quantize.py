@@ -6,6 +6,7 @@ numpy float16 anywhere), so the package's conversion path is checked against
 an independent reference.
 """
 
+import hashlib
 import struct
 
 import numpy as np
@@ -84,6 +85,35 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     for name, entry in ckpt.tensors.items():
         assert np.array_equal(back.tensors[name].data, entry.data)
     assert content_hash(back) == content_hash(ckpt)
+
+
+def test_written_bytes_follow_the_documented_layout(tmp_path):
+    w = np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5
+    h = np.array([0x3C00, 0x7BFF], dtype=np.uint16)
+    ckpt = Checkpoint(metadata={"seed": "3", "preset": "student"})
+    ckpt.add_tensor("w", "f32", w)
+    ckpt.add_tensor("h", "f16", h)
+    ckpt.add_tensor("s", "f32", np.float32(0.5).reshape(()))
+    meta = b"preset=student\nseed=3"
+    want = (b"TDCK" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 3)
+            + struct.pack("<H", 1) + b"h" + struct.pack("<BBI", 1, 1, 2)
+            + h.astype("<u2").tobytes()
+            + struct.pack("<H", 1) + b"s" + struct.pack("<BB", 0, 0)
+            + np.float32(0.5).astype("<f4").tobytes()
+            + struct.pack("<H", 1) + b"w" + struct.pack("<BBII", 0, 2, 2, 3)
+            + w.astype("<f4").tobytes())
+    path = tmp_path / "m.tdck"
+    digest = write_checkpoint(path, ckpt)
+    assert path.read_bytes() == want
+    assert serialize(ckpt) == want
+    assert digest == content_hash(ckpt) == hashlib.sha256(want).hexdigest()
+
+
+def test_bad_metadata_writes_no_file(tmp_path):
+    ckpt = Checkpoint(metadata={"note": "two\nlines"})
+    with pytest.raises(ValueError, match="reserved"):
+        write_checkpoint(tmp_path / "m.tdck", ckpt)
+    assert not (tmp_path / "m.tdck").exists()
 
 
 def test_checkpoint_hash_is_canonical_under_insertion_order():

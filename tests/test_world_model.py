@@ -10,7 +10,8 @@ from wmdistill.dataset import TransitionBatch
 from wmdistill.world_model import (LossBreakdown, LossCoeffs, PRESETS,
                                    SizePreset, TrainHyper, WorldModel,
                                    make_optimizers, model_from_checkpoint,
-                                   original_loss, policy_objective, train_step)
+                                   original_loss, policy_objective,
+                                   stack_steps, train_step)
 
 from oracle_refs import (ACTS64, analytic_head_grads, central_diff_layers,
                          composite_loss64, composite_targets64, grads_close,
@@ -114,7 +115,9 @@ def test_all_alphas_zero_gives_zero_total():
 def test_self_consistent_rollout_data_zeroes_consistency_and_reward():
     # identity encoder (one linear layer set to I) makes the model's own
     # rollout observable: obs_t := zhat_t and rewards := own predictions
-    # must zero the consistency and reward components exactly
+    # must zero the consistency and reward components exactly. The rewards
+    # come from one (H*B)-row reward forward, as in training: at b=3 a
+    # 3-row product may round differently from the same rows of a 6-row one
     linear = SizePreset("linear-micro", latent_dim=2, hidden_dim=2, n_hidden=0)
     model = WorldModel(2, 1, linear, seed=9)
     model.encoder.weights[0].data[...] = np.eye(2, dtype=np.float32)
@@ -124,13 +127,13 @@ def test_self_consistent_rollout_data_zeroes_consistency_and_reward():
     h, b = 2, 3
     obs = np.zeros((b, h + 1, 2), np.float32)
     actions = rng.uniform(-1, 1, (b, h, 1)).astype(np.float32)
-    rewards = np.zeros((b, h), np.float32)
     obs[:, 0] = rng.uniform(-1, 1, (b, 2))
-    z = model.encode_np(obs[:, 0])
+    z = [model.encode_np(obs[:, 0])]
     for t in range(h):
-        rewards[:, t] = model.reward_np(z, actions[:, t])
-        z = model.dynamics_np(z, actions[:, t])
-        obs[:, t + 1] = z
+        z.append(model.dynamics_np(z[t], actions[:, t]))
+        obs[:, t + 1] = z[t + 1]
+    rewards = model.reward_np(np.concatenate(z[:h]),
+                              stack_steps(actions)).reshape(h, b).T
 
     batch = TransitionBatch(obs, actions, rewards, ["pendulum-swingup"] * b)
     _, parts, _ = original_loss(model, batch, LossCoeffs(horizon=h))
@@ -331,6 +334,19 @@ def test_checkpoint_roundtrip_restores_model_bitwise():
     model = micro_model(seed=19)
     ckpt = model.to_checkpoint({"seed": "19"})
     clone = model_from_checkpoint(ckpt)
+    for (n1, p1), (n2, p2) in zip(model.named_parameters(),
+                                  clone.named_parameters()):
+        assert n1 == n2
+        assert np.array_equal(p1.data, p2.data)
+
+
+def test_checkpoint_roundtrip_keeps_metadata_architecture_of_a_preset_name():
+    # named like a shipped preset, with that preset's widths but one hidden
+    # layer: the metadata, not the preset table, decides the architecture
+    preset = SizePreset("student", latent_dim=16, hidden_dim=64, n_hidden=1)
+    model = WorldModel(3, 1, preset, seed=21)
+    clone = model_from_checkpoint(model.to_checkpoint({"seed": "21"}))
+    assert clone.preset == preset
     for (n1, p1), (n2, p2) in zip(model.named_parameters(),
                                   clone.named_parameters()):
         assert n1 == n2
