@@ -3,7 +3,7 @@
 Subcommands: gen-data, train, distill, eval, quantize, sweep.
 Common flags: --config PATH (key=value file, overridden by explicit flags),
 --seed, --out. Exit codes: 0 ok, 1 runtime failure, 2 usage or missing
-input. WM_DISTILL_THREADS caps evaluation parallelism.
+input.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ from typing import List, Optional
 from .dataset import generate_dataset
 from .envs import TASKS
 from .experiments import (DEFAULT_D_COEF_GRID, RunConfig, SweepGrid,
+                          UsageError, config_from_values, planner_config,
                           read_config, run_eval, run_quantize, run_sweep,
                           run_training)
-from .planner import PlannerConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    pass
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -36,6 +32,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", type=str, help="output directory")
 
+
+# Unset flags keep PlannerConfig's defaults (experiments.planner_config).
+_PLAN_FLAGS = [
+    ("--plan-horizon", int, "planner horizon"),
+    ("--plan-samples", int, "planner candidates"),
+    ("--plan-elites", int, "planner elites"),
+    ("--plan-iterations", int, "planner iterations"),
+    ("--plan-temperature", float, "planner softmax temperature"),
+]
 
 _TRAIN_FLAGS = [
     ("--dataset", str, "dataset directory"),
@@ -54,11 +59,7 @@ _TRAIN_FLAGS = [
     ("--log-interval", int, "steps between loss rows"),
     ("--eval-every", int, "steps between periodic evals (0 disables, -1 auto)"),
     ("--eval-episodes", int, "episodes per task per eval"),
-    ("--plan-horizon", int, "planner horizon"),
-    ("--plan-samples", int, "planner candidates"),
-    ("--plan-elites", int, "planner elites"),
-    ("--plan-iterations", int, "planner iterations"),
-    ("--plan-temperature", float, "planner softmax temperature"),
+    *_PLAN_FLAGS,
     ("--resume", str, "trainstate checkpoint to resume from"),
 ]
 
@@ -73,6 +74,14 @@ _DISTILL_FLAGS = [
 def _add_flags(parser, flags) -> None:
     for flag, ftype, help_text in flags:
         parser.add_argument(flag, type=ftype, help=help_text)
+
+
+def _add_scoring(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by eval and quantize, which score a stored checkpoint."""
+    parser.add_argument("--checkpoint", type=str, required=True)
+    parser.add_argument("--episodes", type=int, default=10)
+    parser.add_argument("--gamma", type=float, default=0.99)
+    _add_flags(parser, _PLAN_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,29 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a checkpoint with planner rollouts")
     _add_common(p)
-    p.add_argument("--checkpoint", type=str, required=True)
+    _add_scoring(p)
     p.add_argument("--tasks", type=str, default="",
                    help="comma-separated subset; default: checkpoint metadata")
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--plan-horizon", type=int, default=6)
-    p.add_argument("--plan-samples", type=int, default=128)
-    p.add_argument("--plan-elites", type=int, default=10)
-    p.add_argument("--plan-iterations", type=int, default=4)
-    p.add_argument("--plan-temperature", type=float, default=0.5)
 
     p = sub.add_parser("quantize", help="convert a checkpoint to f16 storage")
     _add_common(p)
-    p.add_argument("--checkpoint", type=str, required=True)
+    _add_scoring(p)
     p.add_argument("--eval", action="store_true",
                    help="also score float and f16 models side by side")
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--plan-horizon", type=int, default=6)
-    p.add_argument("--plan-samples", type=int, default=128)
-    p.add_argument("--plan-elites", type=int, default=10)
-    p.add_argument("--plan-iterations", type=int, default=4)
-    p.add_argument("--plan-temperature", type=float, default=0.5)
 
     p = sub.add_parser("sweep", help="grid sweep over training cells")
     _add_common(p)
@@ -154,7 +149,6 @@ def _resolved_run_config(args: argparse.Namespace) -> RunConfig:
         arg_val = getattr(args, f.name, None)
         if arg_val is not None:
             values[f.name] = str(arg_val)
-    from .experiments import config_from_values
     cfg = config_from_values(values)
     if not cfg.dataset:
         raise UsageError("a dataset directory is required (--dataset)")
@@ -167,12 +161,14 @@ def _resolved_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _planner_from_args(args: argparse.Namespace) -> PlannerConfig:
-    return PlannerConfig(horizon=args.plan_horizon,
-                         num_samples=args.plan_samples,
-                         num_elites=args.plan_elites,
-                         iterations=args.plan_iterations,
-                         temperature=args.plan_temperature)
+def _scoring_args(args: argparse.Namespace) -> dict:
+    """Scoring keywords for eval and quantize, after checking --out and --checkpoint."""
+    if not args.out:
+        raise UsageError("an output directory is required (--out)")
+    if not Path(args.checkpoint).exists():
+        raise UsageError(f"checkpoint {args.checkpoint} does not exist")
+    return dict(episodes=args.episodes, seed=args.seed or 0,
+                planner_cfg=planner_config(args), gamma=args.gamma)
 
 
 def _parse_grid_axis(raw: str, conv):
@@ -208,27 +204,17 @@ def _cmd_train(args, command: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if not args.out:
-        raise UsageError("an output directory is required (--out)")
-    if not Path(args.checkpoint).exists():
-        raise UsageError(f"checkpoint {args.checkpoint} does not exist")
+    scoring = _scoring_args(args)
     tasks = [t for t in args.tasks.split(",") if t] or None
-    report = run_eval(args.checkpoint, args.out, tasks, args.episodes,
-                      args.seed or 0, _planner_from_args(args), args.gamma)
+    report = run_eval(args.checkpoint, args.out, tasks, **scoring)
     print(f"eval: normalized score {report['normalized_score']:.2f} over "
           f"{len(report['task_scores'])} tasks")
     return EXIT_OK
 
 
 def _cmd_quantize(args) -> int:
-    if not args.out:
-        raise UsageError("an output directory is required (--out)")
-    if not Path(args.checkpoint).exists():
-        raise UsageError(f"checkpoint {args.checkpoint} does not exist")
     report = run_quantize(args.checkpoint, args.out, evaluate=args.eval,
-                          episodes=args.episodes, seed=args.seed or 0,
-                          planner_cfg=_planner_from_args(args),
-                          gamma=args.gamma)
+                          **_scoring_args(args))
     print(report["summary"])
     if args.eval:
         print(f"float score {report['float_normalized_score']:.2f}  "

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +75,39 @@ class Episode:
     @property
     def act_dim(self) -> int:
         return self.actions.shape[1]
+
+
+def run_episode(env, actor, seed: int, obs_transform=None,
+                act_dim: Optional[int] = None) -> Episode:
+    """Play and record one episode of `env` from `env.reset(seed)`.
+
+    Every step calls `actor(state, obs, rng)` for the action, where `obs` is
+    the recorded (float32, transformed) observation and `rng` is
+    `default_rng(seed)`. `obs_transform` maps raw observations into the
+    recorded layout; actions are recorded zero-padded to `act_dim` columns
+    (default: the env's).
+    """
+    rng = np.random.default_rng(seed)
+    transform = obs_transform or (lambda raw: raw)
+    state, raw_obs = env.reset(seed)
+    t_steps = env.spec.episode_len
+    obs0 = transform(raw_obs)
+    obs = np.zeros((t_steps + 1, obs0.shape[0]), dtype=np.float32)
+    actions = np.zeros((t_steps, act_dim or env.spec.act_dim), dtype=np.float32)
+    rewards = np.zeros(t_steps, dtype=np.float32)
+    obs[0] = obs0
+    for t in range(t_steps):
+        a = actor(state, obs[t], rng)
+        state, raw_obs, reward = env.step(state, a)
+        actions[t, :env.spec.act_dim] = a
+        rewards[t] = reward
+        obs[t + 1] = transform(raw_obs)
+    return Episode(env.spec.task_id, obs, actions, rewards)
+
+
+def random_actor(act_dim: int):
+    """Uniform actions in [-1, 1]^act_dim drawn from the episode's rng."""
+    return lambda state, obs, rng: rng.uniform(-1.0, 1.0, size=act_dim)
 
 
 @dataclass
@@ -227,35 +260,6 @@ def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
     return TransitionBatch(obs, actions, rewards, task_ids)
 
 
-POLICY_SPECS = ("random", "scripted", "scripted-energy-swingup", "mixture")
-
-
-def _roll_episode(env, suite: MultiTaskSuite, task_id: str, policy_label: str,
-                  ep_seed: int, trained_actor=None) -> Episode:
-    rng = np.random.default_rng(ep_seed)
-    state, raw_obs = env.reset(ep_seed)
-    t_steps = env.spec.episode_len
-    obs = np.zeros((t_steps + 1, suite.obs_dim), dtype=np.float32)
-    actions = np.zeros((t_steps, suite.act_dim), dtype=np.float32)
-    rewards = np.zeros(t_steps, dtype=np.float32)
-    obs[0] = suite.pad_obs(task_id, raw_obs)
-    scripted = scripted_policy(task_id) if policy_label == "scripted" else None
-    for t in range(t_steps):
-        if policy_label == "random":
-            a = rng.uniform(-1.0, 1.0, size=env.spec.act_dim)
-        elif policy_label == "scripted":
-            a = scripted(state, rng)
-        elif policy_label == "trained":
-            a = trained_actor(obs[t], rng)
-        else:
-            raise ValueError(f"unknown behavior policy {policy_label!r}")
-        state, raw_obs, reward = env.step(state, a)
-        actions[t, :env.spec.act_dim] = a
-        rewards[t] = reward
-        obs[t + 1] = suite.pad_obs(task_id, raw_obs)
-    return Episode(task_id, obs, actions, rewards)
-
-
 def _make_trained_actor(checkpoint_path: str):
     # Imported lazily: generation from a trained agent pulls in the planner.
     from .planner import PlannerConfig, plan
@@ -265,7 +269,7 @@ def _make_trained_actor(checkpoint_path: str):
     model = model_from_checkpoint(read_checkpoint(checkpoint_path))
     cfg = PlannerConfig()
 
-    def act(padded_obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def act(state, padded_obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         z = model.encode_np(padded_obs[None, :])
         action, _ = plan(model, z, cfg, rng)
         return action
@@ -293,6 +297,10 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
     entries: List[ManifestEntry] = []
     for task_id in suite.tasks:
         env = suite.envs[task_id]
+        scripted = scripted_policy(task_id)
+        actors = {"random": random_actor(env.spec.act_dim),
+                  "scripted": lambda state, obs, rng: scripted(state, rng),
+                  "trained": trained_actor}
         for idx in range(num_episodes):
             if policy == "mixture":
                 label = "random" if idx % 2 == 0 else "scripted"
@@ -301,8 +309,9 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
             else:
                 label = policy
             ep_seed = int(stream(seed, "gen:" + task_id, idx).integers(0, 2 ** 62))
-            episode = _roll_episode(env, suite, task_id, label, ep_seed,
-                                    trained_actor)
+            episode = run_episode(env, actors[label], ep_seed,
+                                  lambda raw: suite.pad_obs(task_id, raw),
+                                  suite.act_dim)
             fname = f"{task_id}_{idx:04d}.mtep"
             write_episode(out_dir / fname, episode)
             entries.append(ManifestEntry(fname, task_id, label, ep_seed))

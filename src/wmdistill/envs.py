@@ -67,6 +67,13 @@ def _clip_action(action: np.ndarray, act_dim: int) -> np.ndarray:
     return np.clip(a, -1.0, 1.0)
 
 
+def _step_one(env, state: np.ndarray, action) -> Tuple[np.ndarray, np.ndarray, float]:
+    """A task's `step`: its `step_batch` on one row, plus the observation."""
+    a = _clip_action(action, env.spec.act_dim)
+    states, rewards = env.step_batch(np.asarray(state)[None], a[None])
+    return states[0], env.obs(states[0]), float(rewards[0])
+
+
 class PendulumSwingup:
     spec = EnvSpec("pendulum-swingup", obs_dim=3, act_dim=1)
 
@@ -86,17 +93,11 @@ class PendulumSwingup:
                         dtype=np.float32)
 
     def state_from_obs(self, obs: np.ndarray) -> np.ndarray:
-        return np.array([np.arctan2(obs[1], obs[0]), obs[2] * self.MAX_OMEGA])
+        return np.stack([np.arctan2(obs[..., 1], obs[..., 0]),
+                         obs[..., 2] * self.MAX_OMEGA], axis=-1)
 
     def step(self, state: np.ndarray, action) -> Tuple[np.ndarray, np.ndarray, float]:
-        a = _clip_action(action, 1)[0]
-        theta, omega = state
-        theta_dd = GRAVITY * np.sin(theta) + self.MAX_TORQUE * a - self.DAMPING * omega
-        omega = np.clip(omega + DT * theta_dd, -self.MAX_OMEGA, self.MAX_OMEGA)
-        theta = theta + DT * omega
-        state2 = np.array([theta, omega])
-        reward = float((1.0 + np.cos(theta)) / 2.0)
-        return state2, self.obs(state2), reward
+        return _step_one(self, state, action)
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -133,32 +134,12 @@ class CartpoleBalance:
                          theta_dot / self.MAX_THETADOT], dtype=np.float32)
 
     def state_from_obs(self, obs: np.ndarray) -> np.ndarray:
-        return np.array([obs[0] * self.X_LIMIT, obs[1] * self.MAX_XDOT,
-                         np.arctan2(obs[3], obs[2]), obs[4] * self.MAX_THETADOT])
-
-    def _accel(self, state: np.ndarray, a: float) -> Tuple[float, float]:
-        _, _, theta, theta_dot = state
-        total_m = self.M_CART + self.M_POLE
-        force = self.FORCE * a
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        temp = (force + self.M_POLE * self.HALF_LEN * theta_dot ** 2 * sin_t) / total_m
-        theta_dd = (GRAVITY * sin_t - cos_t * temp) / (
-            self.HALF_LEN * (4.0 / 3.0 - self.M_POLE * cos_t ** 2 / total_m))
-        x_dd = temp - self.M_POLE * self.HALF_LEN * theta_dd * cos_t / total_m
-        return x_dd, theta_dd
+        return np.stack([obs[..., 0] * self.X_LIMIT, obs[..., 1] * self.MAX_XDOT,
+                         np.arctan2(obs[..., 3], obs[..., 2]),
+                         obs[..., 4] * self.MAX_THETADOT], axis=-1)
 
     def step(self, state: np.ndarray, action) -> Tuple[np.ndarray, np.ndarray, float]:
-        a = _clip_action(action, 1)[0]
-        x, x_dot, theta, theta_dot = state
-        x_dd, theta_dd = self._accel(state, a)
-        x_dot = np.clip(x_dot + DT * x_dd, -self.MAX_XDOT, self.MAX_XDOT)
-        x = x + DT * x_dot
-        theta_dot = np.clip(theta_dot + DT * theta_dd,
-                            -self.MAX_THETADOT, self.MAX_THETADOT)
-        theta = theta + DT * theta_dot
-        state2 = np.array([x, x_dot, theta, theta_dot])
-        reward = float((1.0 + np.cos(theta)) / 2.0) if abs(x) < self.X_LIMIT else 0.0
-        return state2, self.obs(state2), reward
+        return _step_one(self, state, action)
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -202,23 +183,12 @@ class CupCatch:
                          y_ball, vy / self.TERMINAL_V, caught], dtype=np.float32)
 
     def state_from_obs(self, obs: np.ndarray) -> np.ndarray:
-        return np.array([obs[0] * self.CUP_RANGE, obs[1] * self.CUP_RANGE,
-                         obs[2], obs[3] * self.TERMINAL_V, obs[4]])
+        return np.stack([obs[..., 0] * self.CUP_RANGE, obs[..., 1] * self.CUP_RANGE,
+                         obs[..., 2], obs[..., 3] * self.TERMINAL_V, obs[..., 4]],
+                        axis=-1)
 
     def step(self, state: np.ndarray, action) -> Tuple[np.ndarray, np.ndarray, float]:
-        a = _clip_action(action, 1)[0]
-        x_cup, x_ball, y_ball, vy, caught = state
-        x_cup = np.clip(x_cup + DT * self.CUP_SPEED * a, -self.CUP_RANGE, self.CUP_RANGE)
-        if caught >= 0.5:
-            x_ball, y_ball, vy = x_cup, 0.0, 0.0
-        else:
-            vy = np.clip(vy - DT * GRAVITY, -self.TERMINAL_V, self.TERMINAL_V)
-            y_ball = y_ball + DT * vy
-            if abs(x_ball - x_cup) < self.CATCH_RADIUS and abs(y_ball) < self.CATCH_RADIUS:
-                caught = 1.0
-                x_ball, y_ball, vy = x_cup, 0.0, 0.0
-        state2 = np.array([x_cup, x_ball, y_ball, vy, caught])
-        return state2, self.obs(state2), float(caught)
+        return _step_one(self, state, action)
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -268,9 +238,6 @@ class MultiTaskSuite:
     """
 
     def __init__(self, tasks: Tuple[str, ...] = TASKS):
-        for t in tasks:
-            if t not in _ENVS:
-                raise UnknownTaskError(f"unknown task {t!r}; known: {sorted(_ENVS)}")
         self.tasks = tuple(tasks)
         self.envs: Dict[str, object] = {t: make_env(t) for t in tasks}
         self.raw_obs_dim = max(e.spec.obs_dim for e in self.envs.values())
@@ -301,9 +268,7 @@ class GroundTruthModel:
         self.latent_dim = len(self.env.reset(0)[0])
 
     def encode_np(self, obs: np.ndarray) -> np.ndarray:
-        if obs.ndim == 1:
-            return self.env.state_from_obs(obs)[None, :]
-        return np.stack([self.env.state_from_obs(o) for o in obs])
+        return self.env.state_from_obs(np.atleast_2d(obs))
 
     def dynamics_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         states, _ = self.env.step_batch(z, a)

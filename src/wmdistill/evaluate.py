@@ -3,24 +3,21 @@
 Each task is scored on a 0-1000 scale (task_score of the mean episode
 return); the suite-level normalized score is the mean of per-task scores
 divided by 10, i.e. a 0-100 scale. Episodes use rng streams derived from
-(seed, task, episode index), so runs are reproducible and episodes can fan
-out across threads (capped by WM_DISTILL_THREADS) without changing results.
+(seed, task, episode index), so runs are reproducible and a task's score
+does not depend on which other tasks are evaluated with it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .dataset import random_actor, run_episode
 from .envs import MultiTaskSuite, make_env, task_score
 from .planner import PlannerConfig, rollout_episode
 from .seeding import stream
-
-THREADS_ENV_VAR = "WM_DISTILL_THREADS"
 
 
 def normalized_score(task_scores: Sequence[float]) -> float:
@@ -49,14 +46,6 @@ class EvalResult:
         }
 
 
-def _eval_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_model(model, tasks: Sequence[str], episodes: int, seed: int,
                    planner_cfg: Optional[PlannerConfig] = None,
                    gamma: float = 0.99,
@@ -69,31 +58,18 @@ def evaluate_model(model, tasks: Sequence[str], episodes: int, seed: int,
     if episodes < 1:
         raise ValueError("evaluation needs at least one episode per task")
     cfg = planner_cfg or PlannerConfig()
-    jobs = [(task, ep) for task in tasks for ep in range(episodes)]
-
-    def run(job) -> float:
-        task, ep_idx = job
-        env = make_env(task)
-        ep_seed = int(stream(seed, "eval:" + task, ep_idx).integers(0, 2 ** 62))
-        transform = (lambda raw: suite.pad_obs(task, raw)) if suite else None
-        _, ret = rollout_episode(env, model, cfg, ep_seed, gamma=gamma,
-                                 obs_transform=transform)
-        return ret
-
-    workers = min(_eval_threads(), max(len(jobs), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            returns = list(pool.map(run, jobs))
-    else:
-        returns = [run(j) for j in jobs]
-
-    episode_returns: Dict[str, List[float]] = {t: [] for t in tasks}
-    for (task, _), ret in zip(jobs, returns):
-        episode_returns[task].append(ret)
+    episode_returns: Dict[str, List[float]] = {}
     task_scores = {}
     for task in tasks:
-        env_len = make_env(task).spec.episode_len
-        per_ep = [task_score(r, env_len) for r in episode_returns[task]]
+        env = make_env(task)
+        transform = (lambda raw: suite.pad_obs(task, raw)) if suite else None
+        episode_returns[task] = []
+        for ep_idx in range(episodes):
+            ep_seed = int(stream(seed, "eval:" + task, ep_idx).integers(0, 2 ** 62))
+            _, ret = rollout_episode(env, model, cfg, ep_seed, gamma=gamma,
+                                     obs_transform=transform)
+            episode_returns[task].append(ret)
+        per_ep = [task_score(r, env.spec.episode_len) for r in episode_returns[task]]
         task_scores[task] = float(np.mean(per_ep))
     return EvalResult(task_scores, episode_returns,
                       normalized_score(list(task_scores.values())),
@@ -103,11 +79,4 @@ def evaluate_model(model, tasks: Sequence[str], episodes: int, seed: int,
 def random_policy_return(task: str, seed: int) -> float:
     """Return of one uniform-random-action episode (baseline band)."""
     env = make_env(task)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    state, _ = env.reset(seed)
-    total = 0.0
-    for _ in range(env.spec.episode_len):
-        a = rng.uniform(-1.0, 1.0, size=env.spec.act_dim)
-        state, _, reward = env.step(state, a)
-        total += reward
-    return total
+    return float(run_episode(env, random_actor(env.spec.act_dim), seed).rewards.sum())

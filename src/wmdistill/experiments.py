@@ -43,6 +43,23 @@ from .world_model import (LossCoeffs, TrainHyper, WorldModel,
                           make_optimizers, model_from_checkpoint, train_step)
 
 
+class UsageError(Exception):
+    """A run was asked for with bad input: the CLI exits 2 on it."""
+
+
+# RunConfig field / CLI dest -> PlannerConfig field
+_PLAN_FIELDS = (("plan_horizon", "horizon"), ("plan_samples", "num_samples"),
+                ("plan_elites", "num_elites"), ("plan_iterations", "iterations"),
+                ("plan_temperature", "temperature"))
+
+
+def planner_config(values) -> PlannerConfig:
+    """PlannerConfig from the plan_* attributes of `values` (a RunConfig or
+    parsed CLI flags); an attribute that is None keeps PlannerConfig's default."""
+    chosen = {field: getattr(values, name) for name, field in _PLAN_FIELDS}
+    return PlannerConfig(**{k: v for k, v in chosen.items() if v is not None})
+
+
 @dataclass
 class RunConfig:
     dataset: str = ""
@@ -67,11 +84,11 @@ class RunConfig:
     log_interval: int = 50
     eval_every: int = -1          # -1: every 10% of steps; 0: disabled
     eval_episodes: int = 10
-    plan_horizon: int = 6
-    plan_samples: int = 128
-    plan_elites: int = 10
-    plan_iterations: int = 4
-    plan_temperature: float = 0.5
+    plan_horizon: int = PlannerConfig.horizon
+    plan_samples: int = PlannerConfig.num_samples
+    plan_elites: int = PlannerConfig.num_elites
+    plan_iterations: int = PlannerConfig.iterations
+    plan_temperature: float = PlannerConfig.temperature
     resume: str = ""
 
     def coeffs(self) -> LossCoeffs:
@@ -80,13 +97,6 @@ class RunConfig:
 
     def hyper(self) -> TrainHyper:
         return TrainHyper(self.lr, self.gamma, self.tau)
-
-    def planner(self) -> PlannerConfig:
-        return PlannerConfig(horizon=self.plan_horizon,
-                             num_samples=self.plan_samples,
-                             num_elites=self.plan_elites,
-                             iterations=self.plan_iterations,
-                             temperature=self.plan_temperature)
 
 
 def write_config(path, cfg: RunConfig, command: str) -> None:
@@ -97,15 +107,25 @@ def write_config(path, cfg: RunConfig, command: str) -> None:
 
 
 def read_config(path) -> Tuple[Dict[str, str], Optional[str]]:
-    """Parse a key=value config file; returns (values, command-if-present)."""
+    """Parse a key=value config file; returns (values, command-if-present).
+
+    A line without `=` or a key that is not a RunConfig field raises
+    UsageError naming the file, the line and the key.
+    """
     values: Dict[str, str] = {}
     command = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    known = {f.name for f in fields(RunConfig)} | {"command"}
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
+        if key not in known:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "command":
             command = value
         else:
@@ -270,7 +290,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
                              f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
         if eval_every and (step + 1) % eval_every == 0 and cfg.eval_episodes > 0:
             res = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
-                                 cfg.planner(), cfg.gamma, suite)
+                                 planner_config(cfg), cfg.gamma, suite)
             metric_rows.extend(_metrics_rows(step + 1, res))
 
     metadata = _train_metadata(cfg, model, tasks, teacher)
@@ -284,7 +304,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
     final_eval = None
     if cfg.eval_episodes > 0:
         final_eval = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
-                                    cfg.planner(), cfg.gamma, suite)
+                                    planner_config(cfg), cfg.gamma, suite)
         metric_rows.extend(_metrics_rows(cfg.steps, final_eval))
 
     if teacher is not None:
@@ -318,12 +338,7 @@ def run_eval(checkpoint_path, out, tasks: Optional[Sequence[str]], episodes: int
     t0 = time.perf_counter()
     ckpt = read_checkpoint(checkpoint_path)
     model = model_from_checkpoint(ckpt)
-    meta_tasks = ckpt.metadata.get("tasks", "")
-    suite_tasks = tuple(meta_tasks.split(",")) if meta_tasks else None
-    eval_tasks = list(tasks) if tasks else list(suite_tasks or ())
-    if not eval_tasks:
-        raise ValueError("no tasks given and checkpoint metadata lists none")
-    suite = MultiTaskSuite(suite_tasks or tuple(eval_tasks))
+    eval_tasks, suite = _eval_tasks(ckpt, tasks)
     result = evaluate_model(model, eval_tasks, episodes, seed,
                             planner_cfg, gamma, suite)
     out = Path(out)
@@ -343,6 +358,23 @@ def run_eval(checkpoint_path, out, tasks: Optional[Sequence[str]], episodes: int
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
                                      encoding="utf-8")
     return report
+
+
+def _eval_tasks(ckpt: Checkpoint, requested: Optional[Sequence[str]]
+                ) -> Tuple[List[str], MultiTaskSuite]:
+    """The tasks to score (`requested`, else those in the checkpoint's
+    metadata) and the suite whose observation layout the model was trained on."""
+    meta_tasks = ckpt.metadata.get("tasks", "")
+    trained = tuple(meta_tasks.split(",")) if meta_tasks else ()
+    tasks = list(requested) if requested else list(trained)
+    if not tasks:
+        raise ValueError("no tasks given and checkpoint metadata lists none")
+    if trained:
+        unknown = [t for t in tasks if t not in trained]
+        if unknown:
+            raise UsageError(f"checkpoint was not trained on task(s) "
+                             f"{', '.join(unknown)}; it knows {', '.join(trained)}")
+    return tasks, MultiTaskSuite(trained or tuple(tasks))
 
 
 def _hash_of(path) -> str:
@@ -376,11 +408,7 @@ def run_quantize(checkpoint_path, out, evaluate: bool = False,
         "summary": qreport.summary(),
     }
     if evaluate:
-        meta_tasks = ckpt.metadata.get("tasks", "")
-        if not meta_tasks:
-            raise ValueError("checkpoint metadata lists no tasks to evaluate on")
-        tasks = meta_tasks.split(",")
-        suite = MultiTaskSuite(tuple(tasks))
+        tasks, suite = _eval_tasks(ckpt, None)
         res32 = evaluate_model(model_from_checkpoint(ckpt), tasks, episodes,
                                seed, planner_cfg, gamma, suite)
         res16 = evaluate_model(model_from_checkpoint(ckpt16), tasks, episodes,

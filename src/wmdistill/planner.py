@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dataset import Episode
+from .dataset import Episode, run_episode
 
 
 class PlannerError(RuntimeError):
@@ -140,26 +140,14 @@ def rollout_episode(env, model, config: PlannerConfig, seed: int,
     """Closed-loop episode: plan() every step with receding-horizon warm
     start (mean shifted one step, zero-padded). Returns the trajectory and
     its undiscounted return."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    transform = obs_transform or (lambda raw: raw)
-    state, raw_obs = env.reset(seed)
-    t_steps = env.spec.episode_len
-    obs0 = np.asarray(transform(raw_obs), dtype=np.float32)
-    obs = np.zeros((t_steps + 1, obs0.shape[0]), dtype=np.float32)
-    actions = np.zeros((t_steps, env.spec.act_dim), dtype=np.float32)
-    rewards = np.zeros(t_steps, dtype=np.float32)
-    obs[0] = obs0
-
     prev_mean = None
-    for t in range(t_steps):
-        z = model.encode_np(obs[t][None, :].astype(np.float32))
-        action, mean = plan(model, z, config, rng, gamma=gamma,
-                            prev_mean=prev_mean)
+
+    def act(state, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        nonlocal prev_mean
+        action, mean = plan(model, model.encode_np(obs[None, :]), config, rng,
+                            gamma=gamma, prev_mean=prev_mean)
         prev_mean = np.vstack([mean[1:], np.zeros((1, model.act_dim))])
-        a = action[:env.spec.act_dim]
-        state, raw_obs, reward = env.step(state, a)
-        obs[t + 1] = transform(raw_obs)
-        actions[t] = a
-        rewards[t] = reward
-    episode = Episode(env.spec.task_id, obs, actions, rewards)
-    return episode, float(rewards.sum())
+        return action[:env.spec.act_dim]
+
+    episode = run_episode(env, act, seed, obs_transform)
+    return episode, float(episode.rewards.sum())

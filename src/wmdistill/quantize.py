@@ -97,13 +97,5 @@ def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
     return out, report
 
 
-def widen_to_f32(ckpt: Checkpoint) -> Checkpoint:
-    """Widen every tensor to f32 storage (used before inference)."""
-    out = Checkpoint(metadata=dict(ckpt.metadata))
-    for name in sorted(ckpt.tensors):
-        out.add_tensor(name, "f32", ckpt.tensors[name].as_f32())
-    return out
-
-
 def model_size_bytes(ckpt: Checkpoint) -> int:
     return len(serialize(ckpt))

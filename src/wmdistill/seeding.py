@@ -21,8 +21,3 @@ def stream(seed: int, label: str, *indices: int) -> np.random.Generator:
     """RNG for the (seed, label, indices...) coordinate."""
     entropy = [int(seed), _label_key(label), *[int(i) for i in indices]]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def episode_seed_stream(seed: int, task_id: str, episode_idx: int) -> np.random.Generator:
-    """Per-evaluation-episode RNG, independent across (task, episode)."""
-    return stream(seed, "episode:" + task_id, episode_idx)

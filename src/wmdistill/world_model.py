@@ -324,12 +324,6 @@ class LossBreakdown:
                  + d_coef * distill)
         return LossBreakdown(consistency, reward, value, distill, total, step)
 
-    def recombined_total(self, coeffs: LossCoeffs, d_coef: float) -> float:
-        return (coeffs.alpha_consistency * self.consistency
-                + coeffs.alpha_reward * self.reward
-                + coeffs.alpha_value * self.value
-                + d_coef * self.distill)
-
 
 def stack_steps(x: np.ndarray) -> np.ndarray:
     """(B, T, d) window -> (T*B, d) rows, step-major: rows t*B..(t+1)*B-1

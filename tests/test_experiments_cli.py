@@ -9,6 +9,7 @@ import pytest
 from wmdistill.checkpoint import file_hash, read_checkpoint
 from wmdistill.cli import EXIT_OK, EXIT_USAGE, main
 from wmdistill.dataset import generate_dataset
+from wmdistill.envs import MultiTaskSuite, TASKS
 from wmdistill.evaluate import evaluate_model, normalized_score
 from wmdistill.experiments import (RunConfig, SweepGrid, read_config,
                                    run_sweep, run_training)
@@ -228,16 +229,48 @@ def test_sweep_empty_grid_is_usage_error(data_dir, tmp_path):
     assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
-def test_eval_parallelism_cap_does_not_change_results(teacher_ckpt, monkeypatch):
+def test_eval_task_score_independent_of_other_tasks(teacher_ckpt):
+    # a task's score is the same whether it is evaluated alone or with others
     model = model_from_checkpoint(read_checkpoint(teacher_ckpt))
-    from wmdistill.envs import MultiTaskSuite, TASKS
     suite = MultiTaskSuite(TASKS)
     cfg = PlannerConfig(num_samples=8, num_elites=2, iterations=1)
-    monkeypatch.setenv("WM_DISTILL_THREADS", "1")
-    serial = evaluate_model(model, list(TASKS), 2, seed=6, planner_cfg=cfg,
-                            suite=suite)
-    monkeypatch.setenv("WM_DISTILL_THREADS", "3")
-    threaded = evaluate_model(model, list(TASKS), 2, seed=6, planner_cfg=cfg,
+    together = evaluate_model(model, list(TASKS), 2, seed=6, planner_cfg=cfg,
                               suite=suite)
-    assert serial.task_scores == threaded.task_scores
-    assert serial.normalized == threaded.normalized
+    for task in (TASKS[2], TASKS[0]):
+        alone = evaluate_model(model, [task], 2, seed=6, planner_cfg=cfg,
+                               suite=suite)
+        assert alone.task_scores[task] == together.task_scores[task]
+        assert alone.episode_returns[task] == together.episode_returns[task]
+    reordered = evaluate_model(model, list(reversed(TASKS)), 2, seed=6,
+                               planner_cfg=cfg, suite=suite)
+    assert reordered.task_scores == together.task_scores
+
+
+def test_eval_task_outside_checkpoint_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "pendulum_only"
+    generate_dataset(data, num_episodes=1, policy="random", seed=3,
+                     tasks=("pendulum-swingup",))
+    assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "t"),
+                 "--steps", "0", "--eval-episodes", "0"]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(tmp_path / "t" / "model.tdck"),
+               "--out", str(tmp_path / "e"), "--episodes", "1",
+               "--tasks", "pendulum-swingup,cup-catch"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cup-catch" in err and "not trained on" in err
+
+
+@pytest.mark.parametrize("line, named", [("d_cof=0.4", "'d_cof'"),
+                                         ("steps 5", "'steps 5'")])
+def test_config_file_bad_line_is_usage_error(data_dir, tmp_path, capsys, line,
+                                             named):
+    config = tmp_path / "run.txt"
+    config.write_text(f"# distill run\nseed=3\n{line}\n", encoding="utf-8")
+    rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
+               "--out", str(tmp_path / "run"), "--steps", "0",
+               "--eval-episodes", "0"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{config}:3:" in err and named in err
+    assert not (tmp_path / "run" / "model.tdck").exists()

@@ -16,8 +16,7 @@ from wmdistill.checkpoint import (Checkpoint, CheckpointFormatError,
                                   content_hash, deserialize, read_checkpoint,
                                   serialize, write_checkpoint)
 from wmdistill.quantize import (F16_MAX, F16_MIN_SUBNORMAL, QuantizationError,
-                                fp16_round_trip, model_size_bytes, to_fp16,
-                                widen_to_f32)
+                                fp16_round_trip, model_size_bytes, to_fp16)
 from wmdistill.world_model import WorldModel, model_from_checkpoint
 
 
@@ -203,7 +202,10 @@ def test_round_trip_error_bound_log_uniform_grid():
 def test_quantize_idempotent_bitwise():
     ckpt = _checkpoint(np.random.default_rng(3))
     once, _ = to_fp16(ckpt)
-    again, report = to_fp16(widen_to_f32(once))
+    widened = Checkpoint(metadata=dict(once.metadata))
+    for name in sorted(once.tensors):
+        widened.add_tensor(name, "f32", once.tensors[name].as_f32())
+    again, report = to_fp16(widened)
     for name in once.tensors:
         assert np.array_equal(once.tensors[name].data, again.tensors[name].data)
     assert all(abs_e == 0.0 for abs_e, _ in report.per_tensor.values())

@@ -176,7 +176,7 @@ def test_h1_micro_model_components_match_pencil_oracle():
 def test_breakdown_total_reproduces_combination_and_scales_linearly():
     coeffs = LossCoeffs(1.25, 0.75, 0.5, rho=0.5, horizon=2)
     bd = LossBreakdown.combine(0.3, 0.2, 0.4, 0.1, coeffs, d_coef=0.4)
-    assert abs(bd.total - bd.recombined_total(coeffs, 0.4)) <= 1e-6
+    assert abs(bd.total - (1.25 * 0.3 + 0.75 * 0.2 + 0.5 * 0.4 + 0.4 * 0.1)) <= 1e-6
     # scaling an alpha by c scales that component's contribution by exactly
     # c (checked with a power-of-two factor, where float scaling is exact)
     c = 2.0

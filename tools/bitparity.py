@@ -49,8 +49,8 @@ def _dir_hash(root: Path) -> str:
 
 def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     """Every compared value of one checkout, keyed by item name."""
-    env = {k: v for k, v in os.environ.items() if k != "WM_DISTILL_THREADS"}
-    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(root.resolve() / "src"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(root.resolve() / "src"))
 
     def cli(*args: str) -> None:
         proc = subprocess.run([sys.executable, "-m", "wmdistill", *args], env=env,
