@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -260,22 +261,6 @@ def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
     return TransitionBatch(obs, actions, rewards, task_ids)
 
 
-def _make_trained_actor(checkpoint_path: str):
-    # Imported lazily: generation from a trained agent pulls in the planner.
-    from .planner import PlannerConfig, plan
-    from .world_model import model_from_checkpoint
-    from .checkpoint import read_checkpoint
-
-    model = model_from_checkpoint(read_checkpoint(checkpoint_path))
-    cfg = PlannerConfig()
-
-    def act(state, padded_obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        z = model.encode_np(padded_obs[None, :])
-        action, _ = plan(model, z, cfg, rng)
-        return action
-    return act
-
-
 def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
                      tasks: Sequence[str] = TASKS) -> Dataset:
     """Write num_episodes per task plus a manifest; deterministic in seed.
@@ -286,9 +271,13 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite = MultiTaskSuite(tuple(tasks))
-    trained_actor = None
+    trained = None
     if policy.startswith("trained:"):
-        trained_actor = _make_trained_actor(policy.split(":", 1)[1])
+        # Imported lazily: generation from a trained agent pulls in the planner.
+        from .checkpoint import read_checkpoint
+        from .planner import PlannerConfig, rollout_episode
+        from .world_model import model_from_checkpoint
+        trained = model_from_checkpoint(read_checkpoint(policy.split(":", 1)[1]))
     elif policy == "scripted-energy-swingup":
         policy = "scripted"
     elif policy not in ("random", "scripted", "mixture"):
@@ -299,19 +288,19 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
         env = suite.envs[task_id]
         scripted = scripted_policy(task_id)
         actors = {"random": random_actor(env.spec.act_dim),
-                  "scripted": lambda state, obs, rng: scripted(state, rng),
-                  "trained": trained_actor}
+                  "scripted": lambda state, obs, rng: scripted(state, rng)}
+        pad = partial(suite.pad_obs, task_id)
         for idx in range(num_episodes):
-            if policy == "mixture":
-                label = "random" if idx % 2 == 0 else "scripted"
-            elif trained_actor is not None:
+            ep_seed = int(stream(seed, "gen:" + task_id, idx).integers(0, 2 ** 62))
+            if trained is not None:
                 label = "trained"
+                episode, _ = rollout_episode(env, trained, PlannerConfig(), ep_seed,
+                                             obs_transform=pad, act_dim=suite.act_dim)
             else:
                 label = policy
-            ep_seed = int(stream(seed, "gen:" + task_id, idx).integers(0, 2 ** 62))
-            episode = run_episode(env, actors[label], ep_seed,
-                                  lambda raw: suite.pad_obs(task_id, raw),
-                                  suite.act_dim)
+                if policy == "mixture":
+                    label = "random" if idx % 2 == 0 else "scripted"
+                episode = run_episode(env, actors[label], ep_seed, pad, suite.act_dim)
             fname = f"{task_id}_{idx:04d}.mtep"
             write_episode(out_dir / fname, episode)
             entries.append(ManifestEntry(fname, task_id, label, ep_seed))

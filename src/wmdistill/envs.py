@@ -270,13 +270,9 @@ class GroundTruthModel:
     def encode_np(self, obs: np.ndarray) -> np.ndarray:
         return self.env.state_from_obs(np.atleast_2d(obs))
 
-    def dynamics_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        states, _ = self.env.step_batch(z, a)
-        return states
-
-    def reward_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        _, rewards = self.env.step_batch(z, a)
-        return rewards
+    def step_np(self, z: np.ndarray, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        states, rewards = self.env.step_batch(z, a)
+        return rewards, states
 
     def value_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return np.zeros(z.shape[0])

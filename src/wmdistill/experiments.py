@@ -47,6 +47,11 @@ class UsageError(Exception):
     """A run was asked for with bad input: the CLI exits 2 on it."""
 
 
+class ResumeMismatchError(UsageError):
+    """A --resume trainstate belongs to another run, or is already at or past
+    the run's last step."""
+
+
 # RunConfig field / CLI dest -> PlannerConfig field
 _PLAN_FIELDS = (("plan_horizon", "horizon"), ("plan_samples", "num_samples"),
                 ("plan_elites", "num_elites"), ("plan_iterations", "iterations"),
@@ -109,12 +114,13 @@ def write_config(path, cfg: RunConfig, command: str) -> None:
 def read_config(path) -> Tuple[Dict[str, str], Optional[str]]:
     """Parse a key=value config file; returns (values, command-if-present).
 
-    A line without `=` or a key that is not a RunConfig field raises
-    UsageError naming the file, the line and the key.
+    A line without `=`, a key that is not a RunConfig field or a value that
+    does not parse as the field's type raises UsageError naming the file,
+    the line and the key.
     """
     values: Dict[str, str] = {}
     command = None
-    known = {f.name for f in fields(RunConfig)} | {"command"}
+    types = {f.name: f.type for f in fields(RunConfig)}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -124,12 +130,17 @@ def read_config(path) -> Tuple[Dict[str, str], Optional[str]]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
-        if key not in known:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key == "command":
             command = value
-        else:
-            values[key] = value
+            continue
+        if key not in types:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            _convert(types[key], value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} expects "
+                             f"type {types[key]}, got {value!r}") from None
+        values[key] = value
     return values, command
 
 
@@ -149,7 +160,7 @@ def config_from_values(values: Dict[str, str]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _train_metadata(cfg: RunConfig, model: WorldModel, tasks: Sequence[str],
+def _train_metadata(cfg: RunConfig, tasks: Sequence[str],
                     teacher: Optional[FrozenTeacher]) -> Dict[str, str]:
     md = {
         "seed": str(cfg.seed),
@@ -204,9 +215,30 @@ def _trainstate_checkpoint(model: WorldModel, projection, opt_main: Adam,
     return ckpt
 
 
-def _load_trainstate(path, model: WorldModel, projection, opt_main: Adam,
-                     opt_policy: Adam) -> int:
-    ckpt = read_checkpoint(path)
+# trainstate metadata that must equal the resuming run's
+_RESUME_KEYS = ("seed", "batch_size", "horizon", "mode", "d_coef", "tasks")
+
+
+def _read_trainstate(cfg: RunConfig, tasks: Sequence[str]) -> Checkpoint:
+    """The --resume trainstate, once it is known to continue this run."""
+    ckpt = read_checkpoint(cfg.resume)
+    md = ckpt.metadata
+    if "step" not in md:
+        raise ResumeMismatchError(f"{cfg.resume} is not a trainstate checkpoint")
+    want = _train_metadata(cfg, tasks, None)
+    diffs = [f"{key} {md.get(key)!r} (run: {want[key]!r})"
+             for key in _RESUME_KEYS if md.get(key) != want[key]]
+    if diffs:
+        raise ResumeMismatchError(f"trainstate {cfg.resume} is from another run: "
+                                  + ", ".join(diffs))
+    if int(md["step"]) >= cfg.steps:
+        raise ResumeMismatchError(f"trainstate {cfg.resume} is at step {md['step']}, "
+                                  f"not before the run's last step {cfg.steps}")
+    return ckpt
+
+
+def _load_trainstate(ckpt: Checkpoint, model: WorldModel, projection,
+                     opt_main: Adam, opt_policy: Adam) -> int:
     model.load_tensors(ckpt)
     if projection is not None:
         projection.w.data[...] = ckpt.get("latent_proj.w").as_f32()
@@ -233,12 +265,13 @@ def _metrics_rows(step: int, result: EvalResult) -> List[str]:
 def run_training(cfg: RunConfig, command: str = "train") -> dict:
     """Shared from-scratch / distillation training loop."""
     t0 = time.perf_counter()
+    dataset = load_dataset(cfg.dataset)
+    tasks = list(dataset.tasks)
+    trainstate = _read_trainstate(cfg, tasks) if cfg.resume else None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg, command)
 
-    dataset = load_dataset(cfg.dataset)
-    tasks = list(dataset.tasks)
     suite = MultiTaskSuite(tuple(tasks))
     coeffs, hyper = cfg.coeffs(), cfg.hyper()
 
@@ -265,9 +298,9 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
     opt_main, opt_policy = make_optimizers(model, hyper, extra)
 
     start_step = 0
-    if cfg.resume:
+    if trainstate is not None:
         lin_proj = projection if isinstance(projection, LatentProjection) else None
-        start_step = _load_trainstate(cfg.resume, model, lin_proj,
+        start_step = _load_trainstate(trainstate, model, lin_proj,
                                       opt_main, opt_policy)
 
     eval_every = cfg.eval_every
@@ -293,7 +326,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
                                  planner_config(cfg), cfg.gamma, suite)
             metric_rows.extend(_metrics_rows(step + 1, res))
 
-    metadata = _train_metadata(cfg, model, tasks, teacher)
+    metadata = _train_metadata(cfg, tasks, teacher)
     model_hash = write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))
     lin_proj = projection if isinstance(projection, LatentProjection) else None
     state_hash = write_checkpoint(

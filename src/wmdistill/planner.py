@@ -1,15 +1,25 @@
 """Sampling-based trajectory optimization over a learned (or oracle) model.
 
-plan() runs a few iterations of MPPI: sample action sequences around the
-current mean (a fraction of candidates comes from rolling the policy head,
-the first of them noise-free), roll them out through the model's dynamics,
-score each by discounted predicted reward plus a terminal value bootstrap,
-then re-fit mean and std to a softmax weighting of the top elites. The
-first action of the final mean is returned, clamped to [-1, 1].
+plan() runs a few iterations of MPPI. Each iteration samples action
+sequences around the current mean, except for a fraction of candidates that
+come from the policy head (the first of them noise-free), and scores them
+all in one rollout pass: at every step the policy rows take their actions
+from the policy head at their own latents, then one model call gives every
+candidate's reward and next latent. A candidate's score is its discounted
+predicted reward plus a terminal value bootstrap. Mean and std are then
+re-fit to a softmax weighting of the top elites. The first action of the
+final mean is returned, clamped to [-1, 1].
 
-The model interface is duck-typed: encode_np, dynamics_np, reward_np,
-value_np, policy_np and act_dim -- satisfied by both WorldModel and the
-ground-truth wrappers.
+The model interface is duck-typed:
+
+    encode_np(obs) -> z
+    step_np(z, a) -> (reward, z_next)
+    value_np(z, a) -> value
+    policy_np(z) -> a
+    act_dim
+
+WorldModel and the ground-truth wrapper (envs.GroundTruthModel) both
+satisfy it.
 """
 
 from __future__ import annotations
@@ -46,43 +56,46 @@ class PlannerConfig:
             raise ValueError("temperature must be positive")
 
 
-def _score_rollouts(model, z0: np.ndarray, actions: np.ndarray,
-                    gamma: float) -> np.ndarray:
-    """Discounted return of each action sequence under the model."""
-    n, horizon, _ = actions.shape
+def _rollout(model, z0: np.ndarray, pi0: np.ndarray, mean: np.ndarray,
+             std: np.ndarray, n: int, rng: np.random.Generator, gamma: float
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample n action sequences and score each in one pass through the model.
+
+    Rows 0..n_pi-1 (n_pi = len(pi0)) roll the policy head, row 0 noise-free
+    and the rest jittered by std; the other rows are drawn around mean. pi0
+    is the policy head's action at z0 for the n_pi rows. Each step makes one
+    step_np call on all n rows, and a policy row's action at step t comes
+    from its own latent at step t. The score is the discounted predicted
+    reward plus a terminal value bootstrap. Returns (candidates, scores).
+    """
+    n_pi = len(pi0)
+    horizon, act_dim = mean.shape
+    noise = rng.standard_normal((horizon, n_pi, act_dim))
+    noise[:, :1] = 0.0
+    jitter = std[:, None] * noise
+    candidates = np.empty((n, horizon, act_dim))
+    eps = rng.standard_normal((n - n_pi, horizon, act_dim))
+    candidates[n_pi:] = np.clip(mean[None] + std[None] * eps, -1.0, 1.0)
+
     z = np.repeat(z0, n, axis=0)
     scores = np.zeros(n)
     disc = 1.0
     for t in range(horizon):
-        a_t = np.ascontiguousarray(actions[:, t], dtype=z.dtype)
-        r = model.reward_np(z, a_t)
-        if not np.all(np.isfinite(r)):
+        if n_pi:
+            a = pi0 if t == 0 else model.policy_np(z[:n_pi])
+            # np.clip(a + jitter[t], -1, 1) without np.clip's Python overhead
+            np.minimum(np.maximum(a + jitter[t], -1.0), 1.0, out=candidates[:n_pi, t])
+        r, z = model.step_np(z, np.ascontiguousarray(candidates[:, t], dtype=z.dtype))
+        if not np.isfinite(r).all():
             raise PlannerError(f"non-finite reward in planner rollout at step {t}")
-        scores += disc * r
-        z = model.dynamics_np(z, a_t)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise PlannerError(f"non-finite latent in planner rollout at step {t}")
+        scores += disc * r
         disc *= gamma
     terminal = model.value_np(z, model.policy_np(z))
-    if not np.all(np.isfinite(terminal)):
+    if not np.isfinite(terminal).all():
         raise PlannerError("non-finite terminal value in planner rollout")
-    return scores + disc * terminal
-
-
-def _policy_candidates(model, z0: np.ndarray, n: int, std: np.ndarray,
-                       rng: np.random.Generator, horizon: int) -> np.ndarray:
-    """Roll the policy head; candidate 0 is noise-free, the rest jittered."""
-    act_dim = model.act_dim
-    z = np.repeat(z0, n, axis=0)
-    actions = np.zeros((n, horizon, act_dim))
-    for t in range(horizon):
-        a = model.policy_np(z)
-        noise = rng.standard_normal((n, act_dim))
-        noise[0] = 0.0
-        a = np.clip(a + std[t] * noise, -1.0, 1.0)
-        actions[:, t] = a
-        z = model.dynamics_np(z, a.astype(z.dtype))
-    return actions
+    return candidates, scores + disc * terminal
 
 
 def plan(model, z0: np.ndarray, config: PlannerConfig, rng: np.random.Generator,
@@ -105,17 +118,12 @@ def plan(model, z0: np.ndarray, config: PlannerConfig, rng: np.random.Generator,
         n_pi = max(n_pi, 1)
     n_pi = min(n_pi, n)
 
+    # every iteration's policy rows start at z0, so they share their first action
+    pi0 = model.policy_np(np.repeat(z0, n_pi, axis=0))
     candidates = scores = None
     elite_means = []
     for _ in range(config.iterations):
-        parts = []
-        if n_pi > 0:
-            parts.append(_policy_candidates(model, z0, n_pi, std, rng, h))
-        if n - n_pi > 0:
-            eps = rng.standard_normal((n - n_pi, h, act_dim))
-            parts.append(np.clip(mean[None] + std[None] * eps, -1.0, 1.0))
-        candidates = np.concatenate(parts, axis=0)
-        scores = _score_rollouts(model, z0, candidates, gamma)
+        candidates, scores = _rollout(model, z0, pi0, mean, std, n, rng, gamma)
 
         elite_idx = np.argsort(-scores, kind="stable")[:config.num_elites]
         elite_scores = scores[elite_idx]
@@ -135,11 +143,12 @@ def plan(model, z0: np.ndarray, config: PlannerConfig, rng: np.random.Generator,
 
 
 def rollout_episode(env, model, config: PlannerConfig, seed: int,
-                    gamma: float = 0.99, obs_transform=None
-                    ) -> Tuple[Episode, float]:
+                    gamma: float = 0.99, obs_transform=None,
+                    act_dim: Optional[int] = None) -> Tuple[Episode, float]:
     """Closed-loop episode: plan() every step with receding-horizon warm
-    start (mean shifted one step, zero-padded). Returns the trajectory and
-    its undiscounted return."""
+    start (mean shifted one step, zero-padded). Returns the trajectory, its
+    actions recorded zero-padded to `act_dim` columns (default: the env's),
+    and its undiscounted return."""
     prev_mean = None
 
     def act(state, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -149,5 +158,5 @@ def rollout_episode(env, model, config: PlannerConfig, seed: int,
         prev_mean = np.vstack([mean[1:], np.zeros((1, model.act_dim))])
         return action[:env.spec.act_dim]
 
-    episode = run_episode(env, act, seed, obs_transform)
+    episode = run_episode(env, act, seed, obs_transform, act_dim)
     return episode, float(episode.rewards.sum())

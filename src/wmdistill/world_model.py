@@ -200,6 +200,25 @@ class WorldModel:
     def reward_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.reward.forward_np(np.concatenate([z, a], axis=1))[:, 0]
 
+    def step_np(self, z: np.ndarray, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(reward_np(z, a), dynamics_np(z, a)) from one concat and one
+        stacked forward through both heads' hidden layers. The bits are the
+        same: numpy multiplies each slice of a stacked matmul in its own BLAS
+        call. The stacks are built from the live weights on every call, so
+        in-place optimizer updates never leave them stale."""
+        heads = (self.reward, self.dynamics)
+        act = ACTIVATIONS[self.activation][1]
+        x = np.asarray(np.concatenate([z, a], axis=1), dtype=np.float32)
+        h = np.array((x, x))
+        for i in range(len(self.reward.weights) - 1):
+            h = h @ np.array([m.weights[i].data for m in heads])
+            h += np.array([m.biases[i].data for m in heads])[:, None]
+            h = act(h)
+        r, z_next = (h[k] @ m.weights[-1].data for k, m in enumerate(heads))
+        r += self.reward.biases[-1].data
+        z_next += self.dynamics.biases[-1].data
+        return r[:, 0], z_next
+
     def value_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.value.forward_np(np.concatenate([z, a], axis=1))[:, 0]
 

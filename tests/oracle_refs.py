@@ -1,11 +1,17 @@
-"""Independent float64 reference implementations used as gradient oracles.
+"""Independent reference implementations the package is checked against.
 
-These mirror the documented loss math directly in numpy float64 -- separate
-code from the package's float32 graph -- so central finite differences on
-them are accurate to ~1e-10 and make the 1e-4 relative gradient tolerance
-meaningful. Targets that the losses treat as constants (consistency targets,
-TD targets, teacher outputs) are frozen at the base point before
-differencing, matching the stop-gradient semantics under test.
+The float64 loss references mirror the documented loss math directly in
+numpy float64 -- separate code from the package's float32 graph -- so
+central finite differences on them are accurate to ~1e-10 and make the 1e-4
+relative gradient tolerance meaningful. Targets that the losses treat as
+constants (consistency targets, TD targets, teacher outputs) are frozen at
+the base point before differencing, matching the stop-gradient semantics
+under test.
+
+`plan_two_pass` is a frozen copy of the two-pass MPPI planner: policy
+candidates rolled through `dynamics_np` on their own, then every candidate
+scored through separate `reward_np` and `dynamics_np` calls. The one-pass
+planner must reproduce it bit for bit.
 """
 
 from typing import Callable, Dict, List, Tuple
@@ -177,3 +183,71 @@ def analytic_head_grads(mlp) -> Layers:
     return [((w.grad if w.grad is not None else np.zeros_like(w.data)).copy(),
              (b.grad if b.grad is not None else np.zeros_like(b.data)).copy())
             for w, b in zip(mlp.weights, mlp.biases)]
+
+
+def _score_rollouts_two_pass(model, z0, actions, gamma):
+    n, horizon, _ = actions.shape
+    z = np.repeat(z0, n, axis=0)
+    scores = np.zeros(n)
+    disc = 1.0
+    for t in range(horizon):
+        a_t = np.ascontiguousarray(actions[:, t], dtype=z.dtype)
+        scores += disc * model.reward_np(z, a_t)
+        z = model.dynamics_np(z, a_t)
+        disc *= gamma
+    return scores + disc * model.value_np(z, model.policy_np(z))
+
+
+def _policy_candidates_two_pass(model, z0, n, std, rng, horizon):
+    act_dim = model.act_dim
+    z = np.repeat(z0, n, axis=0)
+    actions = np.zeros((n, horizon, act_dim))
+    for t in range(horizon):
+        a = model.policy_np(z)
+        noise = rng.standard_normal((n, act_dim))
+        noise[0] = 0.0
+        a = np.clip(a + std[t] * noise, -1.0, 1.0)
+        actions[:, t] = a
+        z = model.dynamics_np(z, a.astype(z.dtype))
+    return actions
+
+
+def plan_two_pass(model, z0, config, rng, gamma=0.99, prev_mean=None):
+    """(action, mean, info) of the two-pass planner; `model` needs
+    reward_np and dynamics_np in place of step_np."""
+    z0 = np.atleast_2d(np.asarray(z0))
+    h, n = config.horizon, config.num_samples
+    act_dim = model.act_dim
+    mean = np.zeros((h, act_dim)) if prev_mean is None else prev_mean.copy()
+    std = np.full((h, act_dim), float(config.init_std))
+
+    n_pi = int(round(config.policy_fraction * n))
+    if config.policy_fraction > 0 and n >= 1:
+        n_pi = max(n_pi, 1)
+    n_pi = min(n_pi, n)
+
+    candidates = scores = None
+    elite_means = []
+    for _ in range(config.iterations):
+        parts = []
+        if n_pi > 0:
+            parts.append(_policy_candidates_two_pass(model, z0, n_pi, std, rng, h))
+        if n - n_pi > 0:
+            eps = rng.standard_normal((n - n_pi, h, act_dim))
+            parts.append(np.clip(mean[None] + std[None] * eps, -1.0, 1.0))
+        candidates = np.concatenate(parts, axis=0)
+        scores = _score_rollouts_two_pass(model, z0, candidates, gamma)
+
+        elite_idx = np.argsort(-scores, kind="stable")[:config.num_elites]
+        elite_scores = scores[elite_idx]
+        elite_actions = candidates[elite_idx]
+        elite_means.append(float(elite_scores.mean()))
+        w = np.exp((elite_scores - elite_scores.max()) / config.temperature)
+        w /= w.sum()
+        mean = np.einsum("e,ehd->hd", w, elite_actions)
+        var = np.einsum("e,ehd->hd", w, (elite_actions - mean[None]) ** 2)
+        std = np.maximum(np.sqrt(var), config.noise_std)
+
+    action = np.clip(mean[0], -1.0, 1.0)
+    return action, mean, {"candidates": candidates, "scores": scores,
+                          "elite_score_per_iteration": elite_means}

@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wmdistill.checkpoint import write_checkpoint
 from wmdistill.dataset import (Dataset, Episode, EpisodeFormatError,
                                episode_file_size, generate_dataset,
                                load_dataset, read_episode, read_manifest,
                                sample_batch, write_episode)
+from wmdistill.envs import MultiTaskSuite
+from wmdistill.planner import PlannerConfig, rollout_episode
+from wmdistill.world_model import WorldModel
 
 
 def _episode(rng, t=20, obs_dim=4, act_dim=1, task="pendulum-swingup"):
@@ -171,3 +175,20 @@ def test_generate_unknown_policy_rejected(tmp_path):
 def test_load_requires_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path)
+
+
+def test_trained_policy_records_the_evaluated_warm_start_agent(tmp_path):
+    task = "pendulum-swingup"
+    suite = MultiTaskSuite((task,))
+    model = WorldModel(suite.obs_dim, suite.act_dim, "student", seed=4)
+    write_checkpoint(tmp_path / "model.tdck", model.to_checkpoint())
+    data = generate_dataset(tmp_path / "data", 1, f"trained:{tmp_path / 'model.tdck'}",
+                            seed=2, tasks=(task,))
+    entry, = data.manifest
+    assert entry.policy == "trained"
+    want, _ = rollout_episode(suite.envs[task], model, PlannerConfig(), entry.seed,
+                              obs_transform=lambda raw: suite.pad_obs(task, raw),
+                              act_dim=suite.act_dim)
+    got = data.episodes[0]
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert got.obs.tobytes() == want.obs.tobytes()

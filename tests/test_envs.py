@@ -292,7 +292,8 @@ def test_ground_truth_model_exposes_planner_interface():
     z = gm.encode_np(obs)
     assert z.shape == (1, 2)
     a = np.array([[0.5]])
-    z2 = gm.dynamics_np(z, a)
-    r = gm.reward_np(z, a)
+    r, z2 = gm.step_np(z, a)
     assert z2.shape == (1, 2) and r.shape == (1,)
+    states, rewards = gm.env.step_batch(z, a)
+    assert z2.tobytes() == states.tobytes() and r.tobytes() == rewards.tobytes()
     assert np.all(gm.policy_np(z) == 0.0) and np.all(gm.value_np(z, a) == 0.0)

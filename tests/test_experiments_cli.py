@@ -11,8 +11,8 @@ from wmdistill.cli import EXIT_OK, EXIT_USAGE, main
 from wmdistill.dataset import generate_dataset
 from wmdistill.envs import MultiTaskSuite, TASKS
 from wmdistill.evaluate import evaluate_model, normalized_score
-from wmdistill.experiments import (RunConfig, SweepGrid, read_config,
-                                   run_sweep, run_training)
+from wmdistill.experiments import (ResumeMismatchError, RunConfig, SweepGrid,
+                                   read_config, run_sweep, run_training)
 from wmdistill.planner import PlannerConfig
 from wmdistill.world_model import model_from_checkpoint
 
@@ -274,3 +274,42 @@ def test_config_file_bad_line_is_usage_error(data_dir, tmp_path, capsys, line,
     err = capsys.readouterr().err
     assert f"{config}:3:" in err and named in err
     assert not (tmp_path / "run" / "model.tdck").exists()
+
+
+def test_config_value_of_wrong_type_is_usage_error(data_dir, tmp_path, capsys):
+    config = tmp_path / "run.txt"
+    config.write_text("seed=3\nsteps=abc\n", encoding="utf-8")
+    rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
+               "--out", str(tmp_path / "run"), "--eval-episodes", "0"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{config}:2:" in err and "'steps'" in err and "'abc'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def _resume_argv(data_dir, out, resume, steps, seed):
+    return ["train", "--dataset", str(data_dir), "--out", str(out),
+            "--steps", str(steps), "--batch-size", "8", "--log-interval", "5",
+            "--eval-every", "0", "--eval-episodes", "0", "--seed", str(seed),
+            "--resume", str(resume)]
+
+
+@pytest.mark.parametrize("resume, steps, seed, named", [
+    ("trainstate.tdck", 10, 31, "step 20"), ("trainstate.tdck", 20, 31, "step 20"),
+    ("trainstate.tdck", 40, 32, "seed '31'"), ("model.tdck", 40, 31, "not a trainstate")])
+def test_resume_of_another_or_finished_run_writes_nothing(data_dir, tmp_path, capsys,
+                                                          resume, steps, seed, named):
+    run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / "done"),
+                           seed=31, **FAST), command="train")
+    resume = tmp_path / "done" / resume
+    out = tmp_path / "resumed"
+    rc = main(_resume_argv(data_dir, out, resume, steps, seed))
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "trainstate" in err and named in err
+    assert not out.exists()
+    with pytest.raises(ResumeMismatchError, match=named):
+        run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=seed,
+                               resume=str(resume), **{**FAST, "steps": steps}),
+                     command="train")
+    assert not out.exists()

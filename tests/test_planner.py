@@ -4,7 +4,8 @@ action bounds, elite improvement."""
 import numpy as np
 import pytest
 
-from wmdistill.envs import GroundTruthModel, make_env, task_score
+from oracle_refs import plan_two_pass
+from wmdistill.envs import GroundTruthModel, MultiTaskSuite, make_env, task_score
 from wmdistill.evaluate import random_policy_return
 from wmdistill.planner import PlannerConfig, PlannerError, plan, rollout_episode
 from wmdistill.world_model import SizePreset, WorldModel
@@ -32,6 +33,9 @@ class QuadraticModel:
 
     def reward_np(self, z, a):
         return 1.0 - (a[:, 0] - self.target) ** 2
+
+    def step_np(self, z, a):
+        return self.reward_np(z, a), self.dynamics_np(z, a)
 
     def value_np(self, z, a):
         return np.zeros(z.shape[0])
@@ -169,3 +173,47 @@ def test_oracle_model_solves_pendulum_single_seed():
                         iterations=4, noise_std=0.1, policy_fraction=0.0)
     _, ret = rollout_episode(env, gm, cfg, seed=0)
     assert task_score(ret) >= 800.0
+
+
+class TwoCallGroundTruth(GroundTruthModel):
+    """The oracle as the two-pass planner used it: one physics call for the
+    reward and another for the next state."""
+
+    def reward_np(self, z, a):
+        return self.env.step_batch(z, a)[1]
+
+    def dynamics_np(self, z, a):
+        return self.env.step_batch(z, a)[0]
+
+
+def _reference_cases():
+    suite = MultiTaskSuite()
+    obs = np.random.default_rng(0).uniform(-1, 1, (1, suite.obs_dim)).astype(np.float32)
+    for preset, act_dim in (("student", 1), ("teacher-S", 1), ("teacher-L", 1),
+                            ("student", 2)):
+        model = WorldModel(suite.obs_dim, act_dim, preset, seed=3)
+        yield f"{preset}-a{act_dim}", model, model, model.encode_np(obs)
+    gm = TwoCallGroundTruth("pendulum-swingup")
+    _, raw = gm.env.reset(1)
+    yield "ground-truth", gm, GroundTruthModel("pendulum-swingup"), gm.encode_np(raw)
+
+
+@pytest.mark.parametrize("policy_fraction", [0.25, 0.0, 1.0])
+def test_plan_equals_two_pass_reference_bitwise(policy_fraction):
+    cfg = PlannerConfig(policy_fraction=policy_fraction)
+    for name, ref_model, model, z0 in _reference_cases():
+        for seed in range(5):
+            warm = np.random.default_rng(100 + seed).uniform(
+                -1, 1, (cfg.horizon, model.act_dim))
+            for prev_mean in (None, warm):
+                want = plan_two_pass(ref_model, z0, cfg, np.random.default_rng(seed),
+                                     prev_mean=prev_mean)
+                got = plan(model, z0, cfg, np.random.default_rng(seed),
+                           prev_mean=prev_mean, return_info=True)
+                case = f"{name} seed {seed} warm {prev_mean is not None}"
+                for a, b in zip(want[:2], got[:2]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+                for key in ("candidates", "scores"):
+                    assert want[2][key].tobytes() == got[2][key].tobytes(), (case, key)
+                assert want[2]["elite_score_per_iteration"] \
+                    == got[2]["elite_score_per_iteration"], case

@@ -71,6 +71,29 @@ def test_heads_batch_consistent_and_deterministic(head):
                                rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("preset, activation", [
+    ("student", "mish"), ("teacher-S", "mish"), ("teacher-L", "mish"),
+    ("student", "tanh"), (MICRO, "mish"),
+    (SizePreset("linear-micro", latent_dim=2, hidden_dim=2, n_hidden=0), "mish")])
+def test_step_np_equals_reward_and_dynamics_heads_bitwise(preset, activation):
+    model = WorldModel(8, 2, preset, activation=activation, seed=5)
+    rng = np.random.default_rng(7)
+    for rows in (1, 3, 32, 128):
+        z = rng.uniform(-1, 1, (rows, model.latent_dim)).astype(np.float32)
+        a = rng.uniform(-1, 1, (rows, 2)).astype(np.float32)
+        r, z_next = model.step_np(z, a)
+        assert r.dtype == np.float32 and r.shape == (rows,)
+        assert r.tobytes() == model.reward_np(z, a).tobytes()
+        assert z_next.tobytes() == model.dynamics_np(z, a).tobytes()
+    # the stacks come from the live weights: an in-place update shows at once
+    for mlp in (model.reward, model.dynamics):
+        for p in mlp.params():
+            p.data *= np.float32(1.5)
+    r, z_next = model.step_np(z, a)
+    assert r.tobytes() == model.reward_np(z, a).tobytes()
+    assert z_next.tobytes() == model.dynamics_np(z, a).tobytes()
+
+
 def test_zero_weight_heads_output_zero():
     model = micro_model(seed=5)
     for mlp in (model.dynamics, model.reward):

@@ -10,11 +10,12 @@ the package imported from that checkout's src/, it runs at a fixed seed:
     distill    student, batch 32 (or B), against that teacher, in the
                reward_only, latent_linear and latent_pca modes
     quantize   the reward_only student to f16
-    eval       the f16 student, one episode per task
+    eval       the f16 student, one episode per task, and the f32 teacher,
+               one pendulum-swingup episode (the 256-wide planner path)
 
 and compares the dataset bytes, the model.tdck and trainstate.tdck hashes
-and losses.csv of every training run, the f16 checkpoint hash and the f16
-task scores. It prints one line per item and, last, one JSON object with
+and losses.csv of every training run, the f16 checkpoint hash, the f16
+task scores and the teacher's score. It prints one line per item and, last, one JSON object with
 every value of both sides. Exit status 0 when everything agrees, 1 when
 anything differs, 2 when a command fails.
 """
@@ -87,6 +88,10 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     scores = json.loads((work / "eval" / "report.json").read_text())["task_scores"]
     for task in sorted(scores):
         values[f"f16.eval.{task}"] = repr(scores[task])
+    cli("eval", "--checkpoint", "teacher/model.tdck", "--out", "eval-teacher",
+        "--tasks", "pendulum-swingup", "--episodes", "1", "--seed", s)
+    scores = json.loads((work / "eval-teacher" / "report.json").read_text())["task_scores"]
+    values["teacher.eval.pendulum-swingup"] = repr(scores["pendulum-swingup"])
     return values
 
 
