@@ -1,9 +1,10 @@
 """Dense float32 tensors with reverse-mode automatic differentiation and Adam.
 
 The operation set is deliberately small: matmul, a fused linear layer
-(x @ w + b), elementwise add/sub/mul, scalar scaling, mean, square,
-tanh/mish, column and row concatenation and a fused, optionally
-row-weighted MSE. Shapes are strict --
+(x @ w + b), a fused MLP (a whole linear/activation stack as one node, with
+the arithmetic of the single-op chain), elementwise add/sub/mul, scalar
+scaling, mean, square, tanh/mish, column and row concatenation and a fused,
+optionally row-weighted MSE. Shapes are strict --
 elementwise ops require identical shapes, except that a 1-d tensor may
 broadcast against the rows of a 2-d batch (bias addition). Everything else
 raises ShapeError with both shapes in the message.
@@ -219,14 +220,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _result(y, "linear", (x, w, b))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            if x.requires_grad:
-                x._accumulate(g @ w.data.T)
-            if w.requires_grad:
-                w._accumulate(x.data.T @ g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
+            gx = _linear_rule(g, x.data, w, b, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
         out._backward = _bw
     return out
+
+
+# Backward rules shared by the single-op nodes and the fused mlp node.
+
+def _linear_rule(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
+                 need_x: bool, train: bool = True) -> Optional[np.ndarray]:
+    """The backward of x @ w + b: adds x.T @ g into the weight and the row sum
+    of g into the bias (when `train` and they require grad), and returns the
+    input's gradient g @ w.T when `need_x`, else None."""
+    gx = g @ w.data.T if need_x else None
+    if train and w.requires_grad:
+        w._accumulate(x.T @ g)
+    if train and b.requires_grad:
+        b._accumulate(g.sum(axis=0))
+    return gx
+
+
+def _tanh_rule(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The backward of y = tanh(x)."""
+    return g * (np.float32(1.0) - y * y)
+
+
+def _mish_rule(g: np.ndarray, x: np.ndarray, t: np.ndarray,
+               sig: np.ndarray) -> np.ndarray:
+    """The backward of mish at x, from t, sig = _mish_parts(x)."""
+    return g * (t + x * (np.float32(1.0) - t * t) * sig)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -255,7 +279,7 @@ def tanh(a: Tensor) -> Tensor:
     out = _result(y, "tanh", (a,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            a._accumulate(g * (np.float32(1.0) - y * y))
+            a._accumulate(_tanh_rule(g, y))
         out._backward = _bw
     return out
 
@@ -285,7 +309,7 @@ def mish(a: Tensor) -> Tensor:
     out = _result(a.data * t, "mish", (a,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            a._accumulate(g * (t + a.data * (np.float32(1.0) - t * t) * sig))
+            a._accumulate(_mish_rule(g, a.data, t, sig))
         out._backward = _bw
     return out
 
@@ -301,6 +325,77 @@ def mish_np(x: np.ndarray) -> np.ndarray:
     t /= e                               # tanh(softplus(x)) = num / (num + 2)
     t *= x
     return t
+
+
+def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
+        activation: str = "mish", out_tanh: bool = False,
+        frozen: bool = False) -> Tensor:
+    """A fully connected stack as one node: h = x, then per layer
+    y = h @ w + b, with `activation` ("mish" or "tanh") after every layer
+    but the last and tanh after the last when `out_tanh`.
+
+    The forward and backward run the ops of the chain linear -> activation
+    -> ... -> linear [-> tanh], in its order, and keep the intermediates it
+    keeps, so values and gradients are the chain's bit for bit. With
+    `frozen` the weights are constants: gradients reach `x` only.
+    """
+    if activation not in ("mish", "tanh"):
+        raise ValueError(f"unknown activation {activation!r}")
+    if x.data.ndim != 2 or x.shape[1] != weights[0].shape[0]:
+        raise ShapeError(f"mlp: input shape {x.shape} does not fit first "
+                         f"weight {weights[0].shape}")
+    last = len(weights) - 1
+    inputs: List[np.ndarray] = []   # each layer's input h
+    saved: list = []                # per hidden layer: (y, t, sig) or tanh(y)
+    h = x.data
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        y = h @ w.data
+        y += b.data
+        if i == last:
+            h = y
+        elif activation == "mish":
+            t, sig = _mish_parts(y)
+            h = y * t
+            saved.append((y, t, sig))
+        else:
+            h = np.tanh(y)
+            saved.append(h)
+    if out_tanh:
+        h = np.tanh(h)
+    out = _result(h, "mlp", (x,) if frozen else (x, *weights, *biases))
+    if not out.requires_grad:
+        return out
+    weights, biases, train = tuple(weights), tuple(biases), not frozen
+
+    def _bw(g: np.ndarray, diagnose: bool = False) -> None:
+        # `diagnose` checks every rule's result, to name the failing one
+        if out_tanh:
+            g = _tanh_rule(g, h)
+            if diagnose:
+                _check_rule(g, last, "tanh")
+        for i in range(last, -1, -1):
+            if i < last:
+                g = (_mish_rule(g, *saved[i]) if activation == "mish"
+                     else _tanh_rule(g, saved[i]))
+                if diagnose:
+                    _check_rule(g, i, activation)
+            g = _linear_rule(g, inputs[i], weights[i], biases[i],
+                             i > 0 or x.requires_grad, train)
+            if diagnose:
+                for arr in (g, *((weights[i].grad, biases[i].grad) if train else ())):
+                    _check_rule(arr, i, "linear")
+            if g is None:
+                return
+        x._accumulate(g)
+    out._backward = _bw
+    return out
+
+
+def _check_rule(arr: Optional[np.ndarray], layer: int, rule: str) -> None:
+    if arr is not None and not np.isfinite(arr).all():
+        raise GradientError(f"non-finite gradient produced by op 'mlp' "
+                            f"layer {layer} ({rule})")
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -383,7 +478,9 @@ def _topo_order(root: Tensor) -> List[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            # a parent without grad has no parents and no backward: leaving
+            # it out keeps the order of the others
+            if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     return order
 
@@ -412,15 +509,16 @@ def backward(loss: Tensor) -> Dict[Tensor, np.ndarray]:
             node._backward(node.grad)
 
     leaves = [n for n in order if not n._parents and n.requires_grad and n.grad is not None]
-    if not all(np.all(np.isfinite(leaf.grad)) for leaf in leaves):
+    if not all(np.isfinite(leaf.grad).all() for leaf in leaves):
         _diagnose_bad_gradient(loss, order)
     return {leaf: leaf.grad for leaf in leaves}
 
 
 def _diagnose_bad_gradient(loss: Tensor, order: List[Tensor]) -> None:
     """Replay the backward pass one op at a time to name the op whose
-    backward rule produced the first non-finite gradient. Only runs on the
-    failure path; it resets the graph's gradients before replaying."""
+    backward rule produced the first non-finite gradient; inside an mlp
+    node, the layer and the rule. Only runs on the failure path; it resets
+    the graph's gradients before replaying."""
     for node in order:
         node.grad = None
     loss._ensure_grad()
@@ -428,7 +526,10 @@ def _diagnose_bad_gradient(loss: Tensor, order: List[Tensor]) -> None:
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
-        node._backward(node.grad)
+        if node.op == "mlp":
+            node._backward(node.grad, diagnose=True)
+        else:
+            node._backward(node.grad)
         for parent in node._parents:
             if parent.grad is not None and not np.all(np.isfinite(parent.grad)):
                 where = f" into tensor {parent.name!r}" if parent.name else ""
@@ -437,13 +538,25 @@ def _diagnose_bad_gradient(loss: Tensor, order: List[Tensor]) -> None:
     raise GradientError("non-finite gradient of unknown origin")
 
 
+# floats per vectorized Adam update: long enough that ufunc call overhead
+# vanishes, short enough that the update's operands stay in cache
+_ADAM_CHUNK = 1 << 16
+
+
 class Adam:
     """Adam with bias correction over a fixed list of parameters.
 
+    At construction the parameters are copied into one float32 buffer, and
+    each parameter's .data, m and v become views of it (and of two moment
+    buffers of the same layout). A parameter's .data must therefore be
+    updated in place, never rebound, while the optimizer is in use.
+
     State is one (m, v) pair per parameter plus a shared step counter,
-    incremented before bias correction. Parameters whose .grad is None are
-    skipped entirely (their moments do not decay), so a zero-gradient step
-    from a fresh state leaves everything untouched.
+    incremented before bias correction. step() updates each run of
+    consecutive parameters whose .grad is set with one pass of the update's
+    float32 ops per chunk of at most _ADAM_CHUNK floats. Parameters whose
+    .grad is None are skipped entirely (their moments do not decay), so a
+    zero-gradient step from a fresh state leaves everything untouched.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,
@@ -454,15 +567,52 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        # two scratch views per parameter, all backed by one pair of buffers
-        # the size of the largest parameter; step() runs sequentially
-        size = max((p.data.size for p in self.params), default=0)
-        flat = np.empty((2, size), dtype=np.float32)
-        self._scratch = [(flat[0, :p.data.size].reshape(p.data.shape),
-                          flat[1, :p.data.size].reshape(p.data.shape))
-                         for p in self.params]
+        sizes = [p.data.size for p in self.params]
+        self._offsets = np.cumsum([0] + sizes).tolist()
+        self._size = self._offsets[-1]
+        self._flat = np.empty(self._size, dtype=np.float32)
+        self._m = np.zeros(self._size, dtype=np.float32)
+        self._v = np.zeros(self._size, dtype=np.float32)
+        self.m: List[np.ndarray] = []
+        self.v: List[np.ndarray] = []
+        for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
+            shape = p.data.shape
+            self._flat[lo:hi] = p.data.reshape(-1)
+            p.data = self._flat[lo:hi].reshape(shape)
+            self.m.append(self._m[lo:hi].reshape(shape))
+            self.v.append(self._v[lo:hi].reshape(shape))
+        # the update's two scratch buffers; step() runs one chunk at a time
+        self._scratch = np.empty((2, min(_ADAM_CHUNK, self._size)), dtype=np.float32)
+
+    def _chunks(self):
+        """(lo, hi, pieces) for every chunk of every run of consecutive
+        parameters whose .grad is set: a flat range of at most _ADAM_CHUNK
+        floats and the gradients, or raveled slices of them, covering it."""
+        lo, pieces = 0, []
+        for p, off in zip(self.params, self._offsets):
+            g = p.grad
+            if g is None:
+                if pieces:
+                    yield lo, off, pieces
+                    pieces = []
+                continue
+            if not pieces:
+                lo = off
+            end = off + g.size
+            if end - lo <= _ADAM_CHUNK:
+                pieces.append(g)
+                continue
+            g, cut = g.reshape(-1), 0
+            while end - lo > _ADAM_CHUNK:
+                nxt = lo + _ADAM_CHUNK - off
+                if nxt > cut:
+                    pieces.append(g[cut:nxt])
+                yield lo, lo + _ADAM_CHUNK, pieces
+                pieces, cut, lo = [], nxt, lo + _ADAM_CHUNK
+            if cut < g.size:
+                pieces.append(g[cut:])
+        if pieces:
+            yield lo, self._size, pieces
 
     def step(self) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
@@ -478,10 +628,15 @@ class Adam:
         bc2 = np.float32(1.0 - self.beta2 ** self.t)
         lr = np.float32(self.lr)
         eps = np.float32(self.eps)
-        for p, m, v, (s, d) in zip(self.params, self.m, self.v, self._scratch):
-            g = p.grad
-            if g is None:
-                continue
+        for lo, hi, pieces in self._chunks():
+            s, d = self._scratch[:, :hi - lo]
+            # the gradient is last read before d is first written
+            if len(pieces) == 1:
+                g = pieces[0].reshape(-1)
+            else:
+                g = np.concatenate(pieces, axis=None, out=d)
+            m = self._m[lo:hi]
+            v = self._v[lo:hi]
             m *= b1
             np.multiply(c1, g, out=s)
             m += s
@@ -495,7 +650,7 @@ class Adam:
             np.sqrt(d, out=d)
             d += eps
             s /= d
-            p.data -= s
+            self._flat[lo:hi] -= s
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -512,6 +667,6 @@ class Adam:
             if m.shape != self.params[i].data.shape:
                 raise ShapeError(f"Adam moment shape {m.shape} does not match "
                                  f"parameter shape {self.params[i].data.shape}")
-            self.m[i] = m.astype(np.float32).copy()
-            self.v[i] = v.astype(np.float32).copy()
+            self.m[i][...] = m
+            self.v[i][...] = v
         self.t = int(t)

@@ -20,10 +20,11 @@ identical for semantically equal checkpoints.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -176,18 +177,38 @@ def content_hash(ckpt: Checkpoint) -> str:
     return digest.hexdigest()
 
 
+def write_atomic(path, parts: Iterable[bytes]) -> None:
+    """Write `parts` in order to `path` so that readers see the old file or
+    the whole new one: they go to a temporary file in the same directory,
+    which then replaces `path`. If writing fails, the temporary file is
+    removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(path, ckpt: Checkpoint) -> str:
-    """Write and return the content hash of what was written.
+    """Write atomically and return the content hash of what was written.
 
     The parts are built before the file is opened, so a checkpoint that
     cannot be serialized leaves no file behind.
     """
     parts = _serialized_parts(ckpt)
     digest = hashlib.sha256()
-    with open(path, "wb") as f:
+
+    def hashed():
         for part in parts:
-            f.write(part)
             digest.update(part)
+            yield part
+
+    write_atomic(path, hashed())
     return digest.hexdigest()
 
 

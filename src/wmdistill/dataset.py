@@ -179,9 +179,36 @@ class ManifestEntry:
 
 @dataclass
 class Dataset:
+    """Episodes plus their rows packed end to end: `obs`, `actions` and
+    `rewards` stack every episode's arrays in order, and each episode's
+    arrays are views into them. The episode list is fixed once built."""
     root: Path
     episodes: List[Episode]
     manifest: List[ManifestEntry] = field(default_factory=list)
+    obs: np.ndarray = field(init=False, repr=False, compare=False)
+    actions: np.ndarray = field(init=False, repr=False, compare=False)
+    rewards: np.ndarray = field(init=False, repr=False, compare=False)
+    # horizon -> _WindowTable, built on first use by sample_batch
+    _windows: Dict[int, "_WindowTable"] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        eps = self.episodes
+        if not eps:
+            self.obs = np.zeros((0, 0), np.float32)
+            self.actions = np.zeros((0, 0), np.float32)
+            self.rewards = np.zeros(0, np.float32)
+            return
+        self.obs = np.concatenate([ep.obs for ep in eps])
+        self.actions = np.concatenate([ep.actions for ep in eps])
+        self.rewards = np.concatenate([ep.rewards for ep in eps])
+        o = a = 0
+        for ep in eps:
+            t = ep.length
+            ep.obs = self.obs[o:o + t + 1]
+            ep.actions = self.actions[a:a + t]
+            ep.rewards = self.rewards[a:a + t]
+            o, a = o + t + 1, a + t
 
     @property
     def tasks(self) -> Tuple[str, ...]:
@@ -233,32 +260,50 @@ def load_dataset(root) -> Dataset:
     return Dataset(root, episodes, manifest)
 
 
-def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
-                 rng: np.random.Generator) -> TransitionBatch:
-    """Uniform draw over all valid (episode, start) window positions."""
+@dataclass
+class _WindowTable:
+    """Where the windows of one horizon lie in a dataset's packed rows.
+
+    Window k (0 <= k < total) of episode e starts at episode step
+    k - (cum[e] - valid[e]); its rows start at k + obs_shift[e] in the
+    packed observations and at k + act_shift[e] in the packed actions and
+    rewards."""
+    cum: np.ndarray          # cumulative valid window counts per episode
+    total: int
+    obs_shift: np.ndarray
+    act_shift: np.ndarray
+    task_ids: np.ndarray     # per episode, dtype object
+
+
+def _window_table(dataset: Dataset, horizon: int) -> _WindowTable:
     episodes = dataset.episodes
-    if not episodes:
-        raise ValueError("cannot sample from an empty dataset")
-    valid = np.array([ep.length - horizon + 1 for ep in episodes])
+    lengths = np.array([ep.length for ep in episodes])
+    valid = lengths - horizon + 1
     if np.any(valid <= 0):
         raise ValueError(f"window horizon {horizon} exceeds an episode length")
     cum = np.cumsum(valid)
-    total = int(cum[-1])
-    flat = rng.integers(0, total, size=batch_size)
-    ep_idx = np.searchsorted(cum, flat, side="right")
-    start = flat - (cum[ep_idx] - valid[ep_idx])
+    first = cum - valid                          # first window index per episode
+    act_off = np.cumsum(lengths) - lengths       # first action row per episode
+    obs_off = act_off + np.arange(len(episodes))  # one more obs row per episode
+    return _WindowTable(cum, int(cum[-1]), obs_off - first, act_off - first,
+                        np.array([ep.task_id for ep in episodes], dtype=object))
 
-    obs = np.empty((batch_size, horizon + 1, episodes[0].obs_dim), dtype=np.float32)
-    actions = np.empty((batch_size, horizon, episodes[0].act_dim), dtype=np.float32)
-    rewards = np.empty((batch_size, horizon), dtype=np.float32)
-    task_ids = []
-    for i, (e, s) in enumerate(zip(ep_idx, start)):
-        ep = episodes[e]
-        obs[i] = ep.obs[s:s + horizon + 1]
-        actions[i] = ep.actions[s:s + horizon]
-        rewards[i] = ep.rewards[s:s + horizon]
-        task_ids.append(ep.task_id)
-    return TransitionBatch(obs, actions, rewards, task_ids)
+
+def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
+                 rng: np.random.Generator) -> TransitionBatch:
+    """Uniform draw over all valid (episode, start) window positions."""
+    if not dataset.episodes:
+        raise ValueError("cannot sample from an empty dataset")
+    table = dataset._windows.get(horizon)
+    if table is None:
+        table = dataset._windows[horizon] = _window_table(dataset, horizon)
+    flat = rng.integers(0, table.total, size=batch_size)
+    ep_idx = np.searchsorted(table.cum, flat, side="right")
+    steps = np.arange(horizon + 1)
+    obs_rows = (flat + table.obs_shift[ep_idx])[:, None] + steps
+    act_rows = (flat + table.act_shift[ep_idx])[:, None] + steps[:horizon]
+    return TransitionBatch(dataset.obs[obs_rows], dataset.actions[act_rows],
+                           dataset.rewards[act_rows], table.task_ids[ep_idx].tolist())
 
 
 def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,

@@ -190,9 +190,8 @@ def collect_teacher_latents(teacher: FrozenTeacher, dataset: Dataset,
                             n: int = 4096, seed: int = 0) -> np.ndarray:
     """Encode n observations sampled uniformly from the dataset."""
     rng = stream(seed, "pca-sample")
-    all_obs = np.concatenate([ep.obs for ep in dataset.episodes], axis=0)
-    idx = rng.integers(0, all_obs.shape[0], size=n)
-    return teacher.model.encode_np(all_obs[idx])
+    idx = rng.integers(0, dataset.obs.shape[0], size=n)
+    return teacher.model.encode_np(dataset.obs[idx])
 
 
 def fit_pca_projection(teacher: FrozenTeacher, dataset: Dataset, k: int,

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Adam
-from .checkpoint import (Checkpoint, read_checkpoint, write_checkpoint)
+from .checkpoint import (Checkpoint, read_checkpoint, write_atomic,
+                         write_checkpoint)
 from .dataset import load_dataset, sample_batch
 from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
                       distill_train_step, fit_pca_projection)
@@ -255,6 +256,11 @@ def _load_trainstate(ckpt: Checkpoint, model: WorldModel, projection,
     return int(ckpt.metadata["step"])
 
 
+def _write_report(out: Path, report: dict) -> None:
+    text = json.dumps(report, indent=2, sort_keys=True)
+    write_atomic(out / "report.json", [text.encode("utf-8")])
+
+
 def _metrics_rows(step: int, result: EvalResult) -> List[str]:
     rows = [f"{step},task_score,{result.task_scores[t]},{t}"
             for t in sorted(result.task_scores)]
@@ -359,8 +365,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
         "teacher_fingerprint": teacher.fingerprint if teacher else None,
         "wall_clock_s": time.perf_counter() - t0,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
-                                     encoding="utf-8")
+    _write_report(out, report)
     return report
 
 
@@ -388,8 +393,7 @@ def run_eval(checkpoint_path, out, tasks: Optional[Sequence[str]], episodes: int
         **result.as_dict(),
         "wall_clock_s": time.perf_counter() - t0,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
-                                     encoding="utf-8")
+    _write_report(out, report)
     return report
 
 
@@ -452,8 +456,7 @@ def run_quantize(checkpoint_path, out, evaluate: bool = False,
         report["float_task_scores"] = res32.task_scores
         report["f16_task_scores"] = res16.task_scores
     report["wall_clock_s"] = time.perf_counter() - t0
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
-                                     encoding="utf-8")
+    _write_report(out, report)
     return report
 
 
@@ -532,6 +535,5 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         "cells": rows,
         "wall_clock_s": time.perf_counter() - t0,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
-                                     encoding="utf-8")
+    _write_report(out, report)
     return report

@@ -74,7 +74,7 @@ class MLP:
         self.out_dim = out_dim
         self.activation = activation
         self.out_tanh = out_tanh
-        self._act, self._act_np = ACTIVATIONS[activation]
+        self._act_np = ACTIVATIONS[activation][1]
         dims = [in_dim] + [hidden_dim] * n_hidden + [out_dim]
         self.weights: List[Tensor] = []
         self.biases: List[Tensor] = []
@@ -86,17 +86,11 @@ class MLP:
             self.biases.append(Tensor(b.astype(np.float32), requires_grad=True))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        """Graph forward. With `frozen` the weights enter as constants, so
-        gradients reach `x` but none is computed for the weights."""
-        last = len(self.weights) - 1
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if frozen:
-                w, b = w.detach(), b.detach()
-            h = ad.linear(h, w, b)
-            if i < last:
-                h = self._act(h)
-        return ad.tanh(h) if self.out_tanh else h
+        """Graph forward, one `ad.mlp` node. With `frozen` the weights enter
+        as constants, so gradients reach `x` but none is computed for the
+        weights."""
+        return ad.mlp(x, self.weights, self.biases, self.activation,
+                      self.out_tanh, frozen)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         last = len(self.weights) - 1
@@ -249,8 +243,12 @@ class WorldModel:
         return out
 
     def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.grad = None
+        for name in _HEADS:
+            mlp = getattr(self, name)
+            for p in mlp.weights:
+                p.grad = None
+            for p in mlp.biases:
+                p.grad = None
 
     def soft_update_target(self, tau: float) -> None:
         t32 = np.float32(tau)

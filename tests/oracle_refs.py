@@ -12,11 +12,22 @@ under test.
 candidates rolled through `dynamics_np` on their own, then every candidate
 scored through separate `reward_np` and `dynamics_np` calls. The one-pass
 planner must reproduce it bit for bit.
+
+Frozen copies of the training step's earlier building blocks, each of
+which the package's replacement must match bit for bit:
+
+- `mlp_chain`: an MLP's graph forward as a chain of single-op nodes
+  (`linear_ref`, `mish_ref`, `tanh_ref`), each with its own backward rule;
+- `AdamRef`: Adam stepping one parameter at a time;
+- `sample_batch_loop`: window sampling that copies one row at a time.
 """
 
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
+
+import wmdistill.autodiff as ad
+from wmdistill.dataset import TransitionBatch
 
 
 def mish64(x: np.ndarray) -> np.ndarray:
@@ -251,3 +262,130 @@ def plan_two_pass(model, z0, config, rng, gamma=0.99, prev_mean=None):
     action = np.clip(mean[0], -1.0, 1.0)
     return action, mean, {"candidates": candidates, "scores": scores,
                           "elite_score_per_iteration": elite_means}
+
+
+# --- frozen copies of the single-op MLP chain, per-parameter Adam and the
+# per-row sampler ---
+
+def linear_ref(x, w, b):
+    y = x.data @ w.data
+    y += b.data
+    out = ad._result(y, "linear", (x, w, b))
+    if out.requires_grad:
+        def _bw(g):
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+        out._backward = _bw
+    return out
+
+
+def tanh_ref(a):
+    y = np.tanh(a.data)
+    out = ad._result(y, "tanh", (a,))
+    if out.requires_grad:
+        def _bw(g):
+            a._accumulate(g * (np.float32(1.0) - y * y))
+        out._backward = _bw
+    return out
+
+
+def mish_ref(a):
+    e = np.exp(np.minimum(a.data, np.float32(20.0)))
+    num = e * (e + np.float32(2.0))
+    t = num / (num + np.float32(2.0))
+    sig = e / (e + np.float32(1.0))
+    out = ad._result(a.data * t, "mish", (a,))
+    if out.requires_grad:
+        def _bw(g):
+            a._accumulate(g * (t + a.data * (np.float32(1.0) - t * t) * sig))
+        out._backward = _bw
+    return out
+
+
+def mlp_chain(mlp, x, frozen=False):
+    """`MLP.__call__` as a chain of linear, activation and tanh nodes."""
+    act = {"mish": mish_ref, "tanh": tanh_ref}[mlp.activation]
+    last = len(mlp.weights) - 1
+    h = x
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        if frozen:
+            w, b = w.detach(), b.detach()
+        h = linear_ref(h, w, b)
+        if i < last:
+            h = act(h)
+    return tanh_ref(h) if mlp.out_tanh else h
+
+
+class AdamRef:
+    """Adam over a list of parameters, one parameter at a time; parameters
+    whose .grad is None are skipped."""
+
+    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = np.float32(self.beta1), np.float32(self.beta2)
+        one = np.float32(1.0)
+        c1, c2 = one - b1, one - b2
+        bc1 = np.float32(1.0 - self.beta1 ** self.t)
+        bc2 = np.float32(1.0 - self.beta2 ** self.t)
+        lr, eps = np.float32(self.lr), np.float32(self.eps)
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if g is None:
+                continue
+            s = np.empty_like(p.data)
+            d = np.empty_like(p.data)
+            m *= b1
+            np.multiply(c1, g, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, g, out=s)
+            s *= c2
+            v += s
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += eps
+            s /= d
+            p.data -= s
+
+    def load_state(self, moments, t):
+        self.m = [m.astype(np.float32).copy() for m, _ in moments]
+        self.v = [v.astype(np.float32).copy() for _, v in moments]
+        self.t = int(t)
+
+
+def sample_batch_loop(dataset, batch_size, horizon, rng):
+    """Uniform draw over all valid (episode, start) window positions, one
+    window copied at a time."""
+    episodes = dataset.episodes
+    valid = np.array([ep.length - horizon + 1 for ep in episodes])
+    if np.any(valid <= 0):
+        raise ValueError(f"window horizon {horizon} exceeds an episode length")
+    cum = np.cumsum(valid)
+    total = int(cum[-1])
+    flat = rng.integers(0, total, size=batch_size)
+    ep_idx = np.searchsorted(cum, flat, side="right")
+    start = flat - (cum[ep_idx] - valid[ep_idx])
+    obs = np.empty((batch_size, horizon + 1, episodes[0].obs_dim), dtype=np.float32)
+    actions = np.empty((batch_size, horizon, episodes[0].act_dim), dtype=np.float32)
+    rewards = np.empty((batch_size, horizon), dtype=np.float32)
+    task_ids = []
+    for i, (e, s) in enumerate(zip(ep_idx, start)):
+        ep = episodes[e]
+        obs[i] = ep.obs[s:s + horizon + 1]
+        actions[i] = ep.actions[s:s + horizon]
+        rewards[i] = ep.rewards[s:s + horizon]
+        task_ids.append(ep.task_id)
+    return TransitionBatch(obs, actions, rewards, task_ids)

@@ -8,8 +8,10 @@ import pytest
 
 import wmdistill.autodiff as ad
 from wmdistill.autodiff import Adam, GradientError, ShapeError, Tensor
+from wmdistill.world_model import MLP
 
 from conftest import rel_close
+from oracle_refs import AdamRef, mlp_chain
 
 EPS = 1e-4
 TOL = 1e-4
@@ -114,6 +116,23 @@ def test_linear_regression_gradients_match_finite_differences():
 LIN_W = np.random.default_rng(21).standard_normal((3, 2)).astype(np.float32).astype(np.float64)
 LIN_B = np.array([0.5, -0.25])
 
+# fixed layers of the mlp entries around the variable first weight, exact in
+# float32: b0 (2,), w1 (2, 2), b1 (2,)
+MLP_B0 = np.array([0.25, -0.5])
+MLP_W1 = np.random.default_rng(27).standard_normal((2, 2)).astype(np.float32).astype(np.float64)
+MLP_B1 = np.array([-0.125, 0.375])
+
+
+def _mlp_graph(a, b, activation="mish", out_tanh=False, frozen=False):
+    return ad.mlp(a, [b, Tensor(MLP_W1)], [Tensor(MLP_B0), Tensor(MLP_B1)],
+                  activation, out_tanh, frozen)
+
+
+def _mlp64(a, b, act, out_tanh=False):
+    y = act(a @ b + MLP_B0) @ MLP_W1 + MLP_B1
+    return np.tanh(y) if out_tanh else y
+
+
 ROWS_C = np.random.default_rng(25).standard_normal((3, 3)).astype(np.float32).astype(np.float64)
 ROW_W = np.array([3.0, 1.5, 0.75, 0.375])
 
@@ -155,6 +174,19 @@ OPS = {
                         ad.concat_rows([a, Tensor(ROWS_C), b]))),
                     lambda a, b: np.mean(np.concatenate([a, ROWS_C, b]) ** 2),
                     ((4, 3), (2, 3))),
+    # mlp: input and first-weight gradients through both layers
+    "mlp_mish": (lambda a, b: ad.mean(ad.square(_mlp_graph(a, b))),
+                 lambda a, b: np.mean(_mlp64(a, b, _mish64) ** 2), ((4, 3), (3, 2))),
+    "mlp_tanh": (lambda a, b: ad.mean(ad.square(_mlp_graph(a, b, "tanh"))),
+                 lambda a, b: np.mean(_mlp64(a, b, np.tanh) ** 2), ((4, 3), (3, 2))),
+    "mlp_out_tanh": (lambda a, b: ad.mean(ad.square(_mlp_graph(a, b, out_tanh=True))),
+                     lambda a, b: np.mean(_mlp64(a, b, _mish64, True) ** 2),
+                     ((4, 3), (3, 2))),
+    # frozen: the weight (b) is a constant, so only a gets a gradient
+    "mlp_frozen": (lambda a, b: ad.mean(ad.square(_mlp_graph(a, b, frozen=True))),
+                   lambda a, b: np.mean(_mlp64(a, b, _mish64) ** 2), ((4, 3), (3, 2))),
+    "mean_mlp": (lambda a, b: ad.mean(_mlp_graph(a, b)),
+                 lambda a, b: np.mean(_mlp64(a, b, _mish64)), ((4, 3), (3, 2))),
     # the target (b) is a constant, so only a gets a gradient
     "mse_weighted": (lambda a, b: ad.mse(a, b, ROW_W),
                      lambda a, b: np.mean(ROW_W[:, None] * (a - b) ** 2),
@@ -331,6 +363,98 @@ def test_gradient_overflow_error_names_the_op():
     with pytest.raises(GradientError) as err:
         ad.backward(out)
     assert "mul" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_gradient_overflow_inside_mlp_names_layer_and_rule():
+    # layer 1 outputs 0.9, where mish's slope exceeds its value: the forward
+    # 0.76 * 3.35e38 is finite, the mish rule's 3.35e38 * 1.03 is not
+    def param(value, shape):
+        return Tensor(np.full(shape, value), requires_grad=True)
+    weights = [param(0.0, (1, 1)), param(0.0, (1, 1)), param(3.35e38, (1, 1))]
+    biases = [param(0.5, (1,)), param(0.9, (1,)), param(0.0, (1,))]
+    out = ad.mlp(Tensor([[1.0]]), weights, biases, "mish")
+    assert np.isfinite(out.data).all()
+    with pytest.raises(GradientError) as err:
+        ad.backward(ad.mean(out))
+    assert "op 'mlp' layer 1 (mish)" in str(err.value)
+
+
+@pytest.mark.parametrize("activation", ["mish", "tanh"])
+@pytest.mark.parametrize("out_tanh", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("n_hidden", [1, 2])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_mlp_node_matches_single_op_chain_bitwise(activation, out_tanh, frozen,
+                                                  n_hidden, x_grad):
+    rng = np.random.default_rng(31)
+    x1, x2 = (rng.standard_normal((16, 5)).astype(np.float32) * 2 for _ in range(2))
+    target = rng.standard_normal((16, 3)).astype(np.float32)
+    row_w = rng.uniform(0.5, 2.0, 16)
+    results = []
+    for build in (lambda m, x, f: m(x, frozen=f), mlp_chain):
+        mlp = MLP(5, 3, 16, n_hidden, activation, np.random.default_rng(7),
+                  out_tanh=out_tanh)
+        xs = [Tensor(x, requires_grad=x_grad) for x in (x1, x2)]
+        # two calls into one loss, so parameter gradients accumulate
+        outs = [build(mlp, x, frozen) for x in xs]
+        if outs[0].requires_grad:
+            ad.backward(ad.add(ad.mse(outs[0], target, row_w), ad.mse(outs[1], target)))
+        results.append([o.data for o in outs] + [x.grad for x in xs]
+                       + [p.grad for p in mlp.params()])
+    outs, x_grads, param_grads = results[0][:2], results[0][2:4], results[0][4:]
+    assert outs[0].shape == (16, 3)
+    assert all((g is not None) == x_grad for g in x_grads)
+    assert all((g is not None) == (not frozen) for g in param_grads)
+    for got, want in zip(*results):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_mlp_shape_error_names_both_shapes():
+    weights = [Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2)))]
+    biases = [Tensor(np.zeros(4)), Tensor(np.zeros(2))]
+    with pytest.raises(ShapeError) as err:
+        ad.mlp(Tensor(np.zeros((2, 5))), weights, biases)
+    assert "(2, 5)" in str(err.value) and "(3, 4)" in str(err.value)
+
+
+def test_packed_adam_matches_per_parameter_adam_bitwise():
+    chunk = ad._ADAM_CHUNK
+    # one run crosses a chunk inside a parameter, one parameter is larger
+    # than a chunk, and one run ends a chunk exactly at a parameter's end
+    sizes = [chunk - 1000, 3000, 50, chunk + 4000, 35, chunk - 4035, 3, 6]
+    shapes = [(s // 5, 5) if s % 5 == 0 else (s,) for s in sizes]
+    rng = np.random.default_rng(28)
+    init = [(rng.standard_normal(s) * 1e-3).astype(np.float32) for s in shapes]
+    packed = [Tensor(a, requires_grad=True) for a in init]
+    ref = [Tensor(a, requires_grad=True) for a in init]
+    opt, opt_ref = Adam(packed, lr=1e-2), AdamRef(ref, lr=1e-2)
+    assert opt._scratch.shape == (2, chunk)
+    for step in range(5):
+        if step == 3:  # continue from a reloaded state
+            opt = Adam(packed, lr=1e-2)
+            opt.load_state([(m.copy(), v.copy()) for m, v in zip(opt_ref.m, opt_ref.v)],
+                           opt_ref.t)
+        # the third parameter never has a gradient; the seventh skips step 2
+        none = {2} | ({6} if step == 2 else set())
+        for i, (p, q) in enumerate(zip(packed, ref)):
+            g = None if i in none else rng.standard_normal(shapes[i]).astype(np.float32)
+            p.grad = q.grad = g
+        opt.step()
+        opt_ref.step()
+        for i, (p, q) in enumerate(zip(packed, ref)):
+            assert np.array_equal(p.data, q.data), (step, i)
+            assert np.array_equal(opt.m[i], opt_ref.m[i]), (step, i)
+            assert np.array_equal(opt.v[i], opt_ref.v[i]), (step, i)
+    assert not opt.m[2].any() and np.array_equal(packed[2].data, init[2])
+
+
+def test_packed_adam_scratch_is_capped_by_the_optimizer_size():
+    p = Tensor(np.ones((3, 4)), requires_grad=True)
+    assert Adam([p])._scratch.shape == (2, 12)
 
 
 class TestAdam:

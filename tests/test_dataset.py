@@ -14,6 +14,8 @@ from wmdistill.envs import MultiTaskSuite
 from wmdistill.planner import PlannerConfig, rollout_episode
 from wmdistill.world_model import WorldModel
 
+from oracle_refs import sample_batch_loop
+
 
 def _episode(rng, t=20, obs_dim=4, act_dim=1, task="pendulum-swingup"):
     return Episode(task,
@@ -138,6 +140,38 @@ def test_sampling_deterministic_given_rng_state():
     b2 = sample_batch(ds, 16, 3, np.random.default_rng(42))
     assert np.array_equal(b1.obs, b2.obs)
     assert np.array_equal(b1.actions, b2.actions)
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 5])
+def test_gathered_windows_equal_the_per_row_loop_bitwise(tiny_dataset, horizon):
+    rng = np.random.default_rng(9)
+    tasks = ("pendulum-swingup", "cup-catch")
+    # unequal lengths, so episode offsets differ from a multiple of one length
+    mixed = Dataset(Path("."), [_episode(rng, t=t, task=tasks[i % 2])
+                                for i, t in enumerate((12, 5, 20, 7))])
+    for ds in (tiny_dataset, mixed):
+        for seed in range(5):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_batch(ds, 40, horizon, got_rng)
+            want = sample_batch_loop(ds, 40, horizon, want_rng)
+            for name in ("obs", "actions", "rewards"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), (seed, name)
+            assert got.task_ids == want.task_ids
+            assert got_rng.integers(2 ** 62) == want_rng.integers(2 ** 62)
+    with pytest.raises(ValueError, match="exceeds an episode length"):
+        sample_batch(mixed, 4, 6, np.random.default_rng(0))
+
+
+def test_dataset_episodes_are_views_of_the_packed_rows(tiny_dataset):
+    o = a = 0
+    for ep in tiny_dataset.episodes:
+        assert ep.obs.base is tiny_dataset.obs and ep.actions.base is tiny_dataset.actions
+        assert np.array_equal(tiny_dataset.obs[o:o + ep.length + 1], ep.obs)
+        assert np.array_equal(tiny_dataset.rewards[a:a + ep.length], ep.rewards)
+        o, a = o + ep.length + 1, a + ep.length
+    assert (o, a) == (len(tiny_dataset.obs), len(tiny_dataset.rewards))
 
 
 def test_empty_dataset_rejected():

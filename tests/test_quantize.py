@@ -108,6 +108,31 @@ def test_written_bytes_follow_the_documented_layout(tmp_path):
     assert digest == content_hash(ckpt) == hashlib.sha256(want).hexdigest()
 
 
+def test_failed_write_keeps_the_previous_checkpoint_and_no_temp_file(
+        tmp_path, monkeypatch):
+    import wmdistill.checkpoint as ck
+    old, new = (_checkpoint(np.random.default_rng(seed)) for seed in (3, 4))
+    path = tmp_path / "model.tdck"
+    assert write_checkpoint(path, old) == content_hash(old)
+    before = path.read_bytes()
+    serialized = ck._serialized_parts
+
+    def failing_parts(ckpt):
+        parts = serialized(ckpt)
+        yield from parts[:len(parts) // 2]
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ck, "_serialized_parts", failing_parts)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(path, new)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.tdck"]
+    monkeypatch.setattr(ck, "_serialized_parts", serialized)
+    assert write_checkpoint(path, new) == content_hash(new) == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.tdck"]
+
+
 def test_bad_metadata_writes_no_file(tmp_path):
     ckpt = Checkpoint(metadata={"note": "two\nlines"})
     with pytest.raises(ValueError, match="reserved"):
