@@ -15,16 +15,20 @@ Layout:
 Serialization is canonical -- metadata keys and tensors are sorted by name,
 so the content hash (sha256 over the serialized bytes) is well defined and
 identical for semantically equal checkpoints.
+
+Every run and dataset file is written by `write_atomic`, so it is replaced
+whole or left as it was; both binary formats are parsed by `BoundedReader`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -33,7 +37,7 @@ VERSION = 1
 
 _DTYPE_CODES = {"f32": 0, "f16": 1}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
-_DTYPE_SIZES = {"f32": 4, "f16": 2}
+_WIRE = {"f32": "<f4", "f16": "<u2"}     # on-disk element type per dtype
 
 
 class CheckpointFormatError(ValueError):
@@ -61,10 +65,7 @@ class TensorEntry:
         return self.data.view(np.float16).astype(np.float32)
 
     def payload_bytes(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n * _DTYPE_SIZES[self.dtype]
+        return math.prod(self.shape) * np.dtype(_WIRE[self.dtype]).itemsize
 
 
 @dataclass
@@ -91,14 +92,8 @@ def _encode_metadata(metadata: Dict[str, str]) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _decode_metadata(blob: bytes) -> Dict[str, str]:
-    metadata: Dict[str, str] = {}
-    if not blob:
-        return metadata
-    for line in blob.decode("utf-8").split("\n"):
-        key, value = line.split("=", 1)
-        metadata[key] = value
-    return metadata
+def _decode_metadata(text: str) -> Dict[str, str]:
+    return dict(line.split("=", 1) for line in text.split("\n")) if text else {}
 
 
 def _serialized_parts(ckpt: Checkpoint) -> list:
@@ -121,8 +116,7 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
         parts.append(nb)
         parts.append(struct.pack("<BB", _DTYPE_CODES[entry.dtype], len(entry.shape)))
         parts.append(struct.pack(f"<{len(entry.shape)}I", *entry.shape))
-        wire = "<f4" if entry.dtype == "f32" else "<u2"
-        parts.append(memoryview(entry.data.astype(wire, copy=False)).cast("B"))
+        parts.append(wire_view(entry.data, _WIRE[entry.dtype]))
     return parts
 
 
@@ -131,42 +125,25 @@ def serialize(ckpt: Checkpoint) -> bytes:
 
 
 def deserialize(raw: bytes, origin: str = "<bytes>") -> Checkpoint:
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise CheckpointFormatError(f"truncated checkpoint {origin}: missing {what}")
-        chunk = raw[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
-        raise CheckpointFormatError(f"bad magic in checkpoint {origin}")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    reader = BoundedReader(raw, MAGIC, CheckpointFormatError, f"checkpoint {origin}")
+    (version,) = reader.unpack("<I", "version")
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version} in {origin}")
-    (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
-    metadata = _decode_metadata(take(meta_len, "metadata"))
-    (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
+    (meta_len,) = reader.unpack("<I", "metadata length")
+    metadata = _decode_metadata(reader.text(meta_len, "metadata"))
+    (n_tensors,) = reader.unpack("<I", "tensor count")
     ckpt = Checkpoint(metadata=metadata)
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        code, ndim = struct.unpack("<BB", take(2, "tensor dtype/ndim"))
+        (name_len,) = reader.unpack("<H", "tensor name length")
+        name = reader.text(name_len, "tensor name")
+        code, ndim = reader.unpack("<BB", "tensor dtype/ndim")
         if code not in _DTYPE_NAMES:
             raise CheckpointFormatError(f"unknown dtype code {code} in {origin}")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
+        shape = reader.unpack(f"<{ndim}I", "tensor shape")
         dtype = _DTYPE_NAMES[code]
-        count = 1
-        for d in shape:
-            count *= d
-        wire = np.dtype("<f4") if dtype == "f32" else np.dtype("<u2")
-        payload = take(count * wire.itemsize, f"tensor {name!r} payload")
-        data = np.frombuffer(payload, dtype=wire).reshape(shape).copy()
-        ckpt.add_tensor(name, dtype, data)
-    if off != len(raw):
-        raise CheckpointFormatError(f"trailing bytes in checkpoint {origin}")
+        ckpt.add_tensor(name, dtype,
+                        reader.array(_WIRE[dtype], shape, f"tensor {name!r} payload"))
+    reader.finish()
     return ckpt
 
 
@@ -177,11 +154,23 @@ def content_hash(ckpt: Checkpoint) -> str:
     return digest.hexdigest()
 
 
+def wire_view(arr: np.ndarray, wire: str) -> memoryview:
+    """`arr`'s values as little-endian `wire` bytes, for `write_atomic`: on
+    little-endian hosts a view of the array's own memory, not a copy."""
+    return memoryview(arr.astype(wire, copy=False).reshape(-1).view(np.uint8))
+
+
+def text_lines(lines: Iterable[str]) -> bytes:
+    """`lines`, each ended by a newline, as utf-8: one part for `write_atomic`."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def write_atomic(path, parts: Iterable[bytes]) -> None:
     """Write `parts` in order to `path` so that readers see the old file or
     the whole new one: they go to a temporary file in the same directory,
     which then replaces `path`. If writing fails, the temporary file is
-    removed and `path` is left as it was."""
+    removed and `path` is left as it was. There is no fsync: this guards
+    against a killed or failing process, not against a power cut."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -192,6 +181,43 @@ def write_atomic(path, parts: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class BoundedReader:
+    """Parses `raw`, which must start with `magic`, front to back; a wrong
+    magic, a shortfall or leftover bytes raise `error` naming `label` (e.g.
+    "checkpoint x.tdck"). Arrays are copied once out of a memoryview, so they
+    are writable and share no memory with `raw`."""
+
+    def __init__(self, raw: bytes, magic: bytes, error: type, label: str):
+        self._view = memoryview(raw)
+        self._off = 0
+        self._error = error
+        self._label = label
+        if self.take(len(magic), "magic") != magic:
+            raise error(f"bad magic in {label}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self._off + n > len(self._view):
+            raise self._error(f"truncated {self._label}: missing {what}")
+        chunk = self._view[self._off:self._off + n]
+        self._off += n
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        return str(self.take(n, what), "utf-8")
+
+    def array(self, wire: str, shape: Tuple[int, ...], what: str) -> np.ndarray:
+        dtype = np.dtype(wire)
+        payload = self.take(math.prod(shape) * dtype.itemsize, what)
+        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+
+    def finish(self) -> None:
+        if self._off != len(self._view):
+            raise self._error(f"trailing bytes in {self._label}")
 
 
 def write_checkpoint(path, ckpt: Checkpoint) -> str:

@@ -14,7 +14,8 @@ Episodes are stored one per file in a small binary format ("MTEP"):
 
 Round-trips are bit-exact. A dataset directory holds the episode files plus
 a plain-text manifest with one line per episode: path, task, policy label,
-seed.
+seed. Every file is written through `checkpoint.write_atomic`, so it is
+replaced whole or left as it was, and read by `checkpoint.BoundedReader`.
 
 Sampling draws training windows uniformly over all valid (episode, start)
 pairs; a window never crosses an episode boundary.
@@ -30,6 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .checkpoint import (BoundedReader, read_checkpoint, text_lines, wire_view,
+                         write_atomic)
 from .envs import MultiTaskSuite, TASKS, scripted_policy
 from .seeding import stream
 
@@ -127,46 +130,26 @@ def episode_file_size(obs_dim: int, act_dim: int, t: int, task_id: str) -> int:
 
 def write_episode(path, episode: Episode) -> None:
     name = episode.task_id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", VERSION, episode.obs_dim, episode.act_dim))
-        fh.write(struct.pack("<I", episode.length))
-        fh.write(struct.pack("<H", len(name)))
-        fh.write(name)
-        fh.write(episode.obs.astype("<f4").tobytes())
-        fh.write(episode.actions.astype("<f4").tobytes())
-        fh.write(episode.rewards.astype("<f4").tobytes())
+    header = struct.pack("<IIIIH", VERSION, episode.obs_dim, episode.act_dim,
+                         episode.length, len(name))
+    write_atomic(path, [MAGIC, header, name, *(
+        wire_view(arr, "<f4") for arr in (episode.obs, episode.actions, episode.rewards))])
 
 
 def read_episode(path) -> Episode:
-    raw = Path(path).read_bytes()
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise EpisodeFormatError(f"truncated episode file {path}: "
-                                     f"missing {what}")
-        chunk = raw[off:off + n]
-        off += n
-        return chunk
-
-    off = 0
-    if take(4, "magic") != MAGIC:
-        raise EpisodeFormatError(f"bad magic in episode file {path}")
-    version, obs_dim, act_dim = struct.unpack("<III", take(12, "header"))
+    reader = BoundedReader(Path(path).read_bytes(), MAGIC, EpisodeFormatError,
+                           f"episode file {path}")
+    version, obs_dim, act_dim = reader.unpack("<III", "header")
     if version != VERSION:
         raise EpisodeFormatError(f"unsupported episode version {version} in {path}")
-    (t,) = struct.unpack("<I", take(4, "step count"))
-    (name_len,) = struct.unpack("<H", take(2, "task id length"))
-    task_id = take(name_len, "task id").decode("utf-8")
-    obs = np.frombuffer(take(4 * (t + 1) * obs_dim, "observations"),
-                        dtype="<f4").reshape(t + 1, obs_dim)
-    actions = np.frombuffer(take(4 * t * act_dim, "actions"),
-                            dtype="<f4").reshape(t, act_dim)
-    rewards = np.frombuffer(take(4 * t, "rewards"), dtype="<f4")
-    if off != len(raw):
-        raise EpisodeFormatError(f"trailing bytes in episode file {path}")
-    return Episode(task_id, obs.copy(), actions.copy(), rewards.copy())
+    (t,) = reader.unpack("<I", "step count")
+    (name_len,) = reader.unpack("<H", "task id length")
+    task_id = reader.text(name_len, "task id")
+    obs = reader.array("<f4", (t + 1, obs_dim), "observations")
+    actions = reader.array("<f4", (t, act_dim), "actions")
+    rewards = reader.array("<f4", (t,), "rewards")
+    reader.finish()
+    return Episode(task_id, obs, actions, rewards)
 
 
 @dataclass
@@ -234,7 +217,7 @@ def write_manifest(path, entries: Sequence[ManifestEntry]) -> None:
     lines = [f"# episodes={len(entries)}"]
     lines += [f"# {task}={n}" for task, n in sorted(counts.items())]
     lines += [f"{e.path},{e.task_id},{e.policy},{e.seed}" for e in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, [text_lines(lines)])
 
 
 def read_manifest(path) -> List[ManifestEntry]:
@@ -319,7 +302,6 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
     trained = None
     if policy.startswith("trained:"):
         # Imported lazily: generation from a trained agent pulls in the planner.
-        from .checkpoint import read_checkpoint
         from .planner import PlannerConfig, rollout_episode
         from .world_model import model_from_checkpoint
         trained = model_from_checkpoint(read_checkpoint(policy.split(":", 1)[1]))

@@ -1,7 +1,8 @@
 """Run orchestration: training/distillation loops, evaluation runs,
 quantization runs and grid sweeps, all with reproducible outputs.
 
-Every run writes into its output directory:
+Every run writes into its output directory, each file through
+`checkpoint.write_atomic`, so it is replaced whole or left as it was:
 
     config.txt       fully-resolved key=value config (sufficient to
                      reproduce the run bit-for-bit)
@@ -30,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Adam
-from .checkpoint import (Checkpoint, read_checkpoint, write_atomic,
-                         write_checkpoint)
+from .checkpoint import (Checkpoint, file_hash, read_checkpoint, text_lines,
+                         write_atomic, write_checkpoint)
 from .dataset import load_dataset, sample_batch
 from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
                       distill_train_step, fit_pca_projection)
@@ -109,7 +110,7 @@ def write_config(path, cfg: RunConfig, command: str) -> None:
     lines = [f"command={command}"]
     for key in sorted(asdict(cfg)):
         lines.append(f"{key}={getattr(cfg, key)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, [text_lines(lines)])
 
 
 def read_config(path) -> Tuple[Dict[str, str], Optional[str]]:
@@ -161,25 +162,16 @@ def config_from_values(values: Dict[str, str]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+# the RunConfig fields a trained checkpoint's metadata records
+_TRAIN_KEYS = ("seed", "steps", "batch_size", "lr", "gamma", "tau",
+               "alpha_consistency", "alpha_reward", "alpha_value", "rho",
+               "horizon", "d_coef", "mode", "latent_coef")
+
+
 def _train_metadata(cfg: RunConfig, tasks: Sequence[str],
                     teacher: Optional[FrozenTeacher]) -> Dict[str, str]:
-    md = {
-        "seed": str(cfg.seed),
-        "steps": str(cfg.steps),
-        "batch_size": str(cfg.batch_size),
-        "lr": repr(cfg.lr),
-        "gamma": repr(cfg.gamma),
-        "tau": repr(cfg.tau),
-        "alpha_consistency": repr(cfg.alpha_consistency),
-        "alpha_reward": repr(cfg.alpha_reward),
-        "alpha_value": repr(cfg.alpha_value),
-        "rho": repr(cfg.rho),
-        "horizon": str(cfg.horizon),
-        "d_coef": repr(cfg.d_coef),
-        "mode": cfg.mode,
-        "latent_coef": repr(cfg.latent_coef),
-        "tasks": ",".join(tasks),
-    }
+    md = {key: str(getattr(cfg, key)) for key in _TRAIN_KEYS}
+    md["tasks"] = ",".join(tasks)
     if teacher is not None and cfg.d_coef > 0:
         md["teacher_fingerprint"] = teacher.fingerprint
     return md
@@ -216,19 +208,22 @@ def _trainstate_checkpoint(model: WorldModel, projection, opt_main: Adam,
     return ckpt
 
 
-# trainstate metadata that must equal the resuming run's
-_RESUME_KEYS = ("seed", "batch_size", "horizon", "mode", "d_coef", "tasks")
-
-
-def _read_trainstate(cfg: RunConfig, tasks: Sequence[str]) -> Checkpoint:
-    """The --resume trainstate, once it is known to continue this run."""
+def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
+                     teacher: Optional[FrozenTeacher]) -> Checkpoint:
+    """The --resume trainstate, once it is known to continue this run: its
+    training metadata (all but `steps`), preset, activation and teacher
+    fingerprint must equal the run's."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
     if "step" not in md:
         raise ResumeMismatchError(f"{cfg.resume} is not a trainstate checkpoint")
-    want = _train_metadata(cfg, tasks, None)
-    diffs = [f"{key} {md.get(key)!r} (run: {want[key]!r})"
-             for key in _RESUME_KEYS if md.get(key) != want[key]]
+    want = {**_train_metadata(cfg, tasks, teacher),
+            "preset": cfg.preset, "activation": cfg.activation}
+    del want["steps"]
+    # a run without a teacher must not resume a trainstate that records one
+    keys = sorted(set(want) | {"teacher_fingerprint"})
+    diffs = [f"{key} {md.get(key)!r} (run: {want.get(key)!r})"
+             for key in keys if md.get(key) != want.get(key)]
     if diffs:
         raise ResumeMismatchError(f"trainstate {cfg.resume} is from another run: "
                                   + ", ".join(diffs))
@@ -273,7 +268,12 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
     t0 = time.perf_counter()
     dataset = load_dataset(cfg.dataset)
     tasks = list(dataset.tasks)
-    trainstate = _read_trainstate(cfg, tasks) if cfg.resume else None
+    teacher: Optional[FrozenTeacher] = None
+    if command == "distill":
+        if not cfg.teacher:
+            raise FileNotFoundError("distillation requires a teacher checkpoint")
+        teacher = FrozenTeacher.load(cfg.teacher)
+    trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg, command)
@@ -284,13 +284,9 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
     model = WorldModel(dataset.obs_dim, dataset.act_dim, cfg.preset,
                        activation=cfg.activation, seed=cfg.seed)
 
-    teacher: Optional[FrozenTeacher] = None
     projection = None
     dcfg = None
-    if command == "distill":
-        if not cfg.teacher:
-            raise FileNotFoundError("distillation requires a teacher checkpoint")
-        teacher = FrozenTeacher.load(cfg.teacher)
+    if teacher is not None:
         dcfg = DistillConfig(cfg.d_coef, cfg.mode, cfg.teacher, cfg.latent_coef)
         if cfg.mode == "latent_linear":
             projection = LatentProjection(teacher.model.latent_dim,
@@ -352,8 +348,8 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
             raise RuntimeError("frozen teacher was mutated during distillation "
                                f"({teacher.fingerprint} -> {after})")
 
-    (out / "losses.csv").write_text("\n".join(loss_rows) + "\n", encoding="utf-8")
-    (out / "metrics.csv").write_text("\n".join(metric_rows) + "\n", encoding="utf-8")
+    write_atomic(out / "losses.csv", [text_lines(loss_rows)])
+    write_atomic(out / "metrics.csv", [text_lines(metric_rows)])
 
     report = {
         "command": command,
@@ -382,11 +378,11 @@ def run_eval(checkpoint_path, out, tasks: Optional[Sequence[str]], episodes: int
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["step,metric,value,task"] + _metrics_rows(0, result)
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_atomic(out / "metrics.csv", [text_lines(rows)])
     report = {
         "command": "eval",
         "checkpoint": str(checkpoint_path),
-        "checkpoint_hash": _hash_of(checkpoint_path),
+        "checkpoint_hash": file_hash(checkpoint_path),
         "tasks": eval_tasks,
         "episodes": episodes,
         "seed": seed,
@@ -414,11 +410,6 @@ def _eval_tasks(ckpt: Checkpoint, requested: Optional[Sequence[str]]
     return tasks, MultiTaskSuite(trained or tuple(tasks))
 
 
-def _hash_of(path) -> str:
-    from .checkpoint import file_hash
-    return file_hash(path)
-
-
 def run_quantize(checkpoint_path, out, evaluate: bool = False,
                  episodes: int = 10, seed: int = 0,
                  planner_cfg: Optional[PlannerConfig] = None,
@@ -431,8 +422,7 @@ def run_quantize(checkpoint_path, out, evaluate: bool = False,
     ckpt16, qreport = to_fp16(ckpt)
     f16_path = out / (Path(checkpoint_path).stem + ".f16.tdck")
     f16_hash = write_checkpoint(f16_path, ckpt16)
-    (out / "quant_report.csv").write_text("\n".join(qreport.csv_rows()) + "\n",
-                                          encoding="utf-8")
+    write_atomic(out / "quant_report.csv", [text_lines(qreport.csv_rows())])
     report = {
         "command": "quantize",
         "checkpoint": str(checkpoint_path),
@@ -512,8 +502,8 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         except Exception as exc:  # cell failures are recorded, sweep continues
             score, status, error = None, f"error:{type(exc).__name__}", str(exc)
             cell_out.mkdir(parents=True, exist_ok=True)
-            (cell_out / "error.txt").write_text(traceback.format_exc(),
-                                                encoding="utf-8")
+            write_atomic(cell_out / "error.txt",
+                         [traceback.format_exc().encode("utf-8")])
         rows.append({"score": score, "status": status, "error": error,
                      "d_coef": d_coef, "batch_size": batch, "steps": steps,
                      "teacher": label, "out_dir": str(cell_out)})
@@ -529,7 +519,7 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         score = "" if r["score"] is None else f"{r['score']:.6g}"
         csv_lines.append(f"{score},{r['status']},{r['d_coef']},{r['batch_size']},"
                          f"{r['steps']},{r['teacher']},{r['out_dir']}")
-    (out / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    write_atomic(out / "sweep.csv", [text_lines(csv_lines)])
     report = {
         "command": "sweep",
         "cells": rows,

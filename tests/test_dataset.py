@@ -2,10 +2,13 @@
 
 from pathlib import Path
 
+import re
+
 import numpy as np
 import pytest
 
-from wmdistill.checkpoint import write_checkpoint
+from wmdistill.checkpoint import (Checkpoint, deserialize, read_checkpoint,
+                                  write_checkpoint)
 from wmdistill.dataset import (Dataset, Episode, EpisodeFormatError,
                                episode_file_size, generate_dataset,
                                load_dataset, read_episode, read_manifest,
@@ -63,6 +66,41 @@ def test_truncated_file_is_a_distinct_error(tmp_path):
     path.write_bytes(raw[:len(raw) - 7])
     with pytest.raises(EpisodeFormatError, match="truncated"):
         read_episode(path)
+
+
+def test_trailing_bytes_are_a_distinct_error(tmp_path):
+    path = tmp_path / "ep.mtep"
+    write_episode(path, _episode(np.random.default_rng(3)))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(EpisodeFormatError,
+                       match=re.escape(f"trailing bytes in episode file {path}")):
+        read_episode(path)
+
+
+def _owns_its_memory(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.base is None and arr.flags.writeable
+
+
+def test_read_arrays_are_writable_and_share_no_memory_with_the_file(tmp_path):
+    """Both binary readers copy each payload out of the bytes they parse."""
+    ep_path, ck_path = tmp_path / "ep.mtep", tmp_path / "m.tdck"
+    write_episode(ep_path, _episode(np.random.default_rng(6)))
+    episode = read_episode(ep_path)
+    ckpt = Checkpoint(metadata={"k": "v"})
+    ckpt.add_tensor("w", "f32", episode.obs)
+    ckpt.add_tensor("h", "f16", np.arange(6, dtype=np.uint16).reshape(2, 3))
+    write_checkpoint(ck_path, ckpt)
+    arrays = [episode.obs, episode.actions, episode.rewards]
+    arrays += [t.data for t in read_checkpoint(ck_path).tensors.values()]
+    assert all(_owns_its_memory(arr) for arr in arrays)
+    raw = bytearray(ck_path.read_bytes())
+    parsed = deserialize(raw)
+    raw[:] = bytes(len(raw))
+    for name, entry in ckpt.tensors.items():
+        assert _owns_its_memory(parsed.tensors[name].data)
+        assert np.array_equal(parsed.tensors[name].data, entry.data)
 
 
 def test_file_size_matches_format_arithmetic(tmp_path):

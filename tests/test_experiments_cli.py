@@ -11,8 +11,11 @@ from wmdistill.cli import EXIT_OK, EXIT_USAGE, main
 from wmdistill.dataset import generate_dataset
 from wmdistill.envs import MultiTaskSuite, TASKS
 from wmdistill.evaluate import evaluate_model, normalized_score
+import wmdistill.dataset as dataset_module
+import wmdistill.experiments as experiments_module
 from wmdistill.experiments import (ResumeMismatchError, RunConfig, SweepGrid,
-                                   read_config, run_sweep, run_training)
+                                   planner_config, read_config, run_eval,
+                                   run_quantize, run_sweep, run_training)
 from wmdistill.planner import PlannerConfig
 from wmdistill.world_model import model_from_checkpoint
 
@@ -287,29 +290,108 @@ def test_config_value_of_wrong_type_is_usage_error(data_dir, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def _resume_argv(data_dir, out, resume, steps, seed):
-    return ["train", "--dataset", str(data_dir), "--out", str(out),
+def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
+    return [command, "--dataset", str(data_dir), "--out", str(out),
             "--steps", str(steps), "--batch-size", "8", "--log-interval", "5",
             "--eval-every", "0", "--eval-episodes", "0", "--seed", str(seed),
-            "--resume", str(resume)]
+            "--resume", str(resume),
+            *(arg for key, value in flags.items()
+              for arg in ("--" + key.replace("_", "-"), str(value)))]
 
 
-@pytest.mark.parametrize("resume, steps, seed, named", [
-    ("trainstate.tdck", 10, 31, "step 20"), ("trainstate.tdck", 20, 31, "step 20"),
-    ("trainstate.tdck", 40, 32, "seed '31'"), ("model.tdck", 40, 31, "not a trainstate")])
-def test_resume_of_another_or_finished_run_writes_nothing(data_dir, tmp_path, capsys,
-                                                          resume, steps, seed, named):
-    run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / "done"),
-                           seed=31, **FAST), command="train")
-    resume = tmp_path / "done" / resume
-    out = tmp_path / "resumed"
-    rc = main(_resume_argv(data_dir, out, resume, steps, seed))
+# `teacher` in the changed flags makes both runs distill with d_coef 0.5: the
+# finished one from `teacher_ckpt`, the resumed one from the finished model.
+@pytest.mark.parametrize("resume, steps, seed, named, changed", [
+    ("trainstate.tdck", 10, 31, "step 20", {}), ("trainstate.tdck", 20, 31, "step 20", {}),
+    ("trainstate.tdck", 40, 32, "seed '31'", {}),
+    ("model.tdck", 40, 31, "not a trainstate", {}),
+    ("trainstate.tdck", 40, 31, "lr '0.0003'", {"lr": 0.001}),
+    ("trainstate.tdck", 40, 31, "preset 'student'", {"preset": "teacher-S"}),
+    ("trainstate.tdck", 40, 31, "teacher_fingerprint", {"teacher": "model.tdck"})])
+def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt,
+                                                          tmp_path, capsys, resume,
+                                                          steps, seed, named, changed):
+    done, out = tmp_path / "done", tmp_path / "resumed"
+    command, distill = "train", {}
+    if "teacher" in changed:
+        command, distill = "distill", {"d_coef": 0.5, "teacher": str(teacher_ckpt)}
+        changed = {**distill, "teacher": str(done / changed["teacher"])}
+    run_training(RunConfig(dataset=str(data_dir), out=str(done), seed=31,
+                           **FAST, **distill), command=command)
+    resume = done / resume
+    rc = main(_resume_argv(command, data_dir, out, resume, steps, seed, changed))
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert "trainstate" in err and named in err
     assert not out.exists()
     with pytest.raises(ResumeMismatchError, match=named):
         run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=seed,
-                               resume=str(resume), **{**FAST, "steps": steps}),
-                     command="train")
+                               resume=str(resume),
+                               **{**FAST, "steps": steps, **changed}),
+                     command=command)
     assert not out.exists()
+
+
+# --- every run and dataset file is replaced whole or left as it was ----------
+
+TINY_PLAN = dict(plan_horizon=1, plan_samples=8, plan_elites=2, plan_iterations=1)
+
+
+def _train_run(root, data_dir, teacher_ckpt, variant):
+    run_training(RunConfig(dataset=str(data_dir), out=str(root / "run"), seed=variant,
+                           **{**FAST, "eval_episodes": 1}, **TINY_PLAN), command="train")
+
+
+def _eval_run(root, data_dir, teacher_ckpt, variant):
+    run_eval(teacher_ckpt, root / "eval", ["pendulum-swingup"], 1, seed=variant,
+             planner_cfg=planner_config(RunConfig(**TINY_PLAN)))
+
+
+def _quantize_run(root, data_dir, teacher_ckpt, variant):
+    model = root / f"model{variant}"
+    run_training(RunConfig(dataset=str(data_dir), out=str(model), seed=variant, **FAST),
+                 command="train")
+    run_quantize(model / "model.tdck", root / "quant")
+
+
+def _sweep_run(root, data_dir, teacher_ckpt, variant):
+    # every cell fails (missing teacher), so each writes error.txt; the second
+    # sweep has one more cell, so its sweep.csv differs from the first's
+    base = RunConfig(dataset=str(data_dir), seed=variant, **FAST)
+    run_sweep(base, SweepGrid([0.1, 0.2][:variant + 1], [], [],
+                              [str(root / "missing.tdck")]), root / "sweep")
+
+
+def _gen_data(root, data_dir, teacher_ckpt, variant):
+    generate_dataset(root / "data", num_episodes=1 + variant, policy="random",
+                     seed=variant, tasks=("pendulum-swingup",))
+
+
+@pytest.mark.parametrize("name, write", [
+    ("config.txt", _train_run), ("losses.csv", _train_run), ("metrics.csv", _train_run),
+    ("metrics.csv", _eval_run), ("quant_report.csv", _quantize_run),
+    ("sweep.csv", _sweep_run), ("error.txt", _sweep_run),
+    ("manifest.txt", _gen_data), ("pendulum-swingup_0000.mtep", _gen_data)])
+def test_failed_write_keeps_the_previous_file_and_no_temp_file(
+        data_dir, teacher_ckpt, tmp_path, monkeypatch, name, write):
+    write(tmp_path, data_dir, teacher_ckpt, 0)
+    (path,) = tmp_path.rglob(name)
+    before = path.read_bytes()
+    real = experiments_module.write_atomic
+
+    def torn_write(target, parts):
+        if Path(target).name != name:
+            return real(target, parts)
+
+        def torn():
+            data = b"".join(parts)
+            yield data[:len(data) // 2]
+            raise OSError("disk full")
+        return real(target, torn())
+
+    for module in (experiments_module, dataset_module):
+        monkeypatch.setattr(module, "write_atomic", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path, data_dir, teacher_ckpt, 1)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))

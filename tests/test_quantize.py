@@ -7,6 +7,7 @@ an independent reference.
 """
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -163,6 +164,11 @@ def test_checkpoint_format_errors_are_distinct(tmp_path):
         deserialize(bad_version)
     with pytest.raises(CheckpointFormatError, match="truncated"):
         deserialize(blob[:-3])
+    path = tmp_path / "m.tdck"
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(CheckpointFormatError,
+                       match=re.escape(f"trailing bytes in checkpoint {path}")):
+        read_checkpoint(path)
     with pytest.raises(FileNotFoundError):
         read_checkpoint(tmp_path / "missing.tdck")
 

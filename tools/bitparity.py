@@ -13,9 +13,11 @@ the package imported from that checkout's src/, it runs at a fixed seed:
     eval       the f16 student, one episode per task, and the f32 teacher,
                one pendulum-swingup episode (the 256-wide planner path)
 
-and compares the dataset bytes, the model.tdck and trainstate.tdck hashes
-and losses.csv of every training run, the f16 checkpoint hash, the f16
-task scores and the teacher's score. It prints one line per item and, last, one JSON object with
+and compares the dataset bytes (episodes and manifest), the model.tdck and
+trainstate.tdck hashes and the config.txt, losses.csv and metrics.csv bytes
+of every training run, the f16 checkpoint hash and quant_report.csv, the
+f16 task scores, the teacher's score and both evals' metrics.csv. It prints
+one line per item and, last, one JSON object with
 every value of both sides. Exit status 0 when everything agrees, 1 when
 anything differs, 2 when a command fails.
 """
@@ -65,7 +67,8 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
         hashes = json.loads((out / "report.json").read_text())["checkpoint_hashes"]
         return {f"{name}.model": hashes["model"],
                 f"{name}.trainstate": hashes["trainstate"],
-                f"{name}.losses_csv": _sha256(out / "losses.csv")}
+                **{f"{name}.{file.replace('.', '_')}": _sha256(out / file)
+                   for file in ("config.txt", "losses.csv", "metrics.csv")}}
 
     s = str(seed)
     cli("gen-data", "--out", "data", "--episodes-per-task", "40",
@@ -83,15 +86,18 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     cli("quantize", "--checkpoint", "reward_only/model.tdck", "--out", "quant",
         "--seed", s)
     values["f16.hash"] = json.loads((work / "quant" / "report.json").read_text())["f16_hash"]
+    values["f16.quant_report_csv"] = _sha256(work / "quant" / "quant_report.csv")
     cli("eval", "--checkpoint", "quant/model.f16.tdck", "--out", "eval",
         "--episodes", "1", "--seed", s)
     scores = json.loads((work / "eval" / "report.json").read_text())["task_scores"]
     for task in sorted(scores):
         values[f"f16.eval.{task}"] = repr(scores[task])
+    values["f16.eval.metrics_csv"] = _sha256(work / "eval" / "metrics.csv")
     cli("eval", "--checkpoint", "teacher/model.tdck", "--out", "eval-teacher",
         "--tasks", "pendulum-swingup", "--episodes", "1", "--seed", s)
     scores = json.loads((work / "eval-teacher" / "report.json").read_text())["task_scores"]
     values["teacher.eval.pendulum-swingup"] = repr(scores["pendulum-swingup"])
+    values["teacher.eval.metrics_csv"] = _sha256(work / "eval-teacher" / "metrics.csv")
     return values
 
 
