@@ -1,13 +1,12 @@
 """Dense float32 tensors with reverse-mode automatic differentiation and Adam.
 
-The operation set is deliberately small: matmul, a fused linear layer
-(x @ w + b), a fused MLP (a whole linear/activation stack as one node, with
-the arithmetic of the single-op chain), elementwise add/sub/mul, scalar
-scaling, mean, square, tanh/mish, column and row concatenation and a fused,
-optionally row-weighted MSE. Shapes are strict --
-elementwise ops require identical shapes, except that a 1-d tensor may
-broadcast against the rows of a 2-d batch (bias addition). Everything else
-raises ShapeError with both shapes in the message.
+The operation set is deliberately small: matmul, a fused MLP (a whole
+linear/activation stack as one node, with the arithmetic of the single-op
+chain), elementwise add/sub/mul, scalar scaling, mean, square, tanh/mish,
+column and row concatenation and a fused, optionally row-weighted MSE.
+Shapes are strict -- elementwise ops require identical shapes, except that
+a 1-d tensor may broadcast against the rows of a 2-d batch (bias addition).
+Everything else raises ShapeError with both shapes in the message.
 
 Graphs are built eagerly by the forward ops and freed when the output goes
 out of scope. Values are float32 everywhere; half precision exists only in
@@ -209,25 +208,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b in one node: the arithmetic of add(matmul(x, w), b)."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} "
-                         "do not conform")
-    y = x.data @ w.data
-    y += b.data
-    out = _result(y, "linear", (x, w, b))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            gx = _linear_rule(g, x.data, w, b, x.requires_grad)
-            if gx is not None:
-                x._accumulate(gx)
-        out._backward = _bw
-    return out
-
-
-# Backward rules shared by the single-op nodes and the fused mlp node.
+# Backward rules of the fused mlp node; tanh and mish share theirs with
+# the single-op nodes.
 
 def _linear_rule(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
                  need_x: bool, train: bool = True) -> Optional[np.ndarray]:
@@ -282,10 +264,6 @@ def tanh(a: Tensor) -> Tensor:
             a._accumulate(_tanh_rule(g, y))
         out._backward = _bw
     return out
-
-
-def tanh_np(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 def _mish_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -664,9 +642,11 @@ class Adam:
             raise ValueError(f"Adam state has {len(moments)} entries for "
                              f"{len(self.params)} parameters")
         for i, (m, v) in enumerate(moments):
-            if m.shape != self.params[i].data.shape:
-                raise ShapeError(f"Adam moment shape {m.shape} does not match "
-                                 f"parameter shape {self.params[i].data.shape}")
+            p = self.params[i]
+            if m.shape != p.data.shape or v.shape != p.data.shape:
+                raise ShapeError(f"Adam moment shapes {m.shape} and {v.shape} "
+                                 f"do not match parameter {p.name!r} of shape "
+                                 f"{p.data.shape}")
             self.m[i][...] = m
             self.v[i][...] = v
         self.t = int(t)

@@ -92,8 +92,13 @@ def _encode_metadata(metadata: Dict[str, str]) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _decode_metadata(text: str) -> Dict[str, str]:
-    return dict(line.split("=", 1) for line in text.split("\n")) if text else {}
+def _decode_metadata(text: str, origin: str) -> Dict[str, str]:
+    lines = text.split("\n") if text else []
+    for line in lines:
+        if "=" not in line:
+            raise CheckpointFormatError(f"metadata line {line!r} has no '=' "
+                                        f"in checkpoint {origin}")
+    return dict(line.split("=", 1) for line in lines)
 
 
 def _serialized_parts(ckpt: Checkpoint) -> list:
@@ -130,7 +135,7 @@ def deserialize(raw: bytes, origin: str = "<bytes>") -> Checkpoint:
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version} in {origin}")
     (meta_len,) = reader.unpack("<I", "metadata length")
-    metadata = _decode_metadata(reader.text(meta_len, "metadata"))
+    metadata = _decode_metadata(reader.text(meta_len, "metadata"), origin)
     (n_tensors,) = reader.unpack("<I", "tensor count")
     ckpt = Checkpoint(metadata=metadata)
     for _ in range(n_tensors):
@@ -185,9 +190,10 @@ def write_atomic(path, parts: Iterable[bytes]) -> None:
 
 class BoundedReader:
     """Parses `raw`, which must start with `magic`, front to back; a wrong
-    magic, a shortfall or leftover bytes raise `error` naming `label` (e.g.
-    "checkpoint x.tdck"). Arrays are copied once out of a memoryview, so they
-    are writable and share no memory with `raw`."""
+    magic, a shortfall, text that is not utf-8 or leftover bytes raise
+    `error` naming `label` (e.g. "checkpoint x.tdck"). Arrays are copied
+    once out of a memoryview, so they are writable and share no memory with
+    `raw`."""
 
     def __init__(self, raw: bytes, magic: bytes, error: type, label: str):
         self._view = memoryview(raw)
@@ -208,7 +214,10 @@ class BoundedReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def text(self, n: int, what: str) -> str:
-        return str(self.take(n, what), "utf-8")
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise self._error(f"{what} is not utf-8 in {self._label}") from None
 
     def array(self, wire: str, shape: Tuple[int, ...], what: str) -> np.ndarray:
         dtype = np.dtype(wire)

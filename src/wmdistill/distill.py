@@ -46,7 +46,6 @@ MODES = ("reward_only", "latent_linear", "latent_pca")
 class DistillConfig:
     d_coef: float = 0.4
     mode: str = "reward_only"
-    teacher_checkpoint: Optional[Union[str, Path]] = None
     latent_coef: float = 1.0
 
     def __post_init__(self) -> None:

@@ -31,8 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Adam
-from .checkpoint import (Checkpoint, file_hash, read_checkpoint, text_lines,
-                         write_atomic, write_checkpoint)
+from .checkpoint import (Checkpoint, CheckpointFormatError, file_hash,
+                         read_checkpoint, text_lines, write_atomic,
+                         write_checkpoint)
 from .dataset import load_dataset, sample_batch
 from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
                       distill_train_step, fit_pca_projection)
@@ -41,7 +42,7 @@ from .evaluate import EvalResult, evaluate_model, normalized_score
 from .planner import PlannerConfig
 from .quantize import to_fp16
 from .seeding import stream
-from .world_model import (LossCoeffs, TrainHyper, WorldModel,
+from .world_model import (LossCoeffs, TrainHyper, WorldModel, load_param,
                           make_optimizers, model_from_checkpoint, train_step)
 
 
@@ -177,34 +178,26 @@ def _train_metadata(cfg: RunConfig, tasks: Sequence[str],
     return md
 
 
-def _named_main_params(model: WorldModel,
-                       projection: Optional[LatentProjection]
-                       ) -> List[Tuple[str, object]]:
-    named = []
-    for head in ("encoder", "dynamics", "reward", "value"):
-        named.extend(getattr(model, head).named_params(head))
-    if projection is not None:
-        named.append(("latent_proj.w", projection.w))
-    return named
+# the key each optimizer's step counter and moments are stored under, in
+# make_optimizers' order
+_ADAM_KEYS = ("adam_main", "adam_policy")
 
 
-def _trainstate_checkpoint(model: WorldModel, projection, opt_main: Adam,
-                           opt_policy: Adam, step: int,
+def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
                            metadata: Dict[str, str]) -> Checkpoint:
-    ckpt = model.to_checkpoint({**metadata,
-                                "step": str(step),
-                                "adam_main_t": str(opt_main.t),
-                                "adam_policy_t": str(opt_policy.t)})
-    if projection is not None:
-        ckpt.add_tensor("latent_proj.w", "f32", projection.w.data)
-    for (name, _), m, v in zip(_named_main_params(model, projection),
-                               opt_main.m, opt_main.v):
-        ckpt.add_tensor(f"adam_main.m.{name}", "f32", m)
-        ckpt.add_tensor(f"adam_main.v.{name}", "f32", v)
-    for (name, _), m, v in zip(model.policy.named_params("policy"),
-                               opt_policy.m, opt_policy.v):
-        ckpt.add_tensor(f"adam_policy.m.{name}", "f32", m)
-        ckpt.add_tensor(f"adam_policy.v.{name}", "f32", v)
+    """The model checkpoint plus, per optimizer, its step counter and the
+    moments of each parameter under `<key>.{m,v}.<parameter name>`; a
+    parameter the model does not hold (the latent projection) is stored
+    under its own name."""
+    ckpt = model.to_checkpoint({**metadata, "step": str(step),
+                                **{f"{key}_t": str(opt.t)
+                                   for key, opt in zip(_ADAM_KEYS, opts)}})
+    for key, opt in zip(_ADAM_KEYS, opts):
+        for p, m, v in zip(opt.params, opt.m, opt.v):
+            if p.name not in ckpt.tensors:
+                ckpt.add_tensor(p.name, "f32", p.data)
+            ckpt.add_tensor(f"{key}.m.{p.name}", "f32", m)
+            ckpt.add_tensor(f"{key}.v.{p.name}", "f32", v)
     return ckpt
 
 
@@ -233,21 +226,18 @@ def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
     return ckpt
 
 
-def _load_trainstate(ckpt: Checkpoint, model: WorldModel, projection,
-                     opt_main: Adam, opt_policy: Adam) -> int:
+def _load_trainstate(ckpt: Checkpoint, model: WorldModel,
+                     opts: Sequence[Adam]) -> int:
+    """Restore what `_trainstate_checkpoint` stored; returns the step."""
     model.load_tensors(ckpt)
-    if projection is not None:
-        projection.w.data[...] = ckpt.get("latent_proj.w").as_f32()
-    main_named = _named_main_params(model, projection)
-    opt_main.load_state(
-        [(ckpt.get(f"adam_main.m.{n}").as_f32(), ckpt.get(f"adam_main.v.{n}").as_f32())
-         for n, _ in main_named],
-        int(ckpt.metadata["adam_main_t"]))
-    pol_named = model.policy.named_params("policy")
-    opt_policy.load_state(
-        [(ckpt.get(f"adam_policy.m.{n}").as_f32(), ckpt.get(f"adam_policy.v.{n}").as_f32())
-         for n, _ in pol_named],
-        int(ckpt.metadata["adam_policy_t"]))
+    held = dict(model.named_parameters())
+    for key, opt in zip(_ADAM_KEYS, opts):
+        for p in opt.params:
+            if p.name not in held:
+                load_param(ckpt, p)
+        opt.load_state([(ckpt.get(f"{key}.m.{p.name}").as_f32(),
+                         ckpt.get(f"{key}.v.{p.name}").as_f32())
+                        for p in opt.params], int(ckpt.metadata[f"{key}_t"]))
     return int(ckpt.metadata["step"])
 
 
@@ -287,7 +277,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
     projection = None
     dcfg = None
     if teacher is not None:
-        dcfg = DistillConfig(cfg.d_coef, cfg.mode, cfg.teacher, cfg.latent_coef)
+        dcfg = DistillConfig(cfg.d_coef, cfg.mode, cfg.latent_coef)
         if cfg.mode == "latent_linear":
             projection = LatentProjection(teacher.model.latent_dim,
                                           model.latent_dim,
@@ -297,13 +287,10 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
                                             model.latent_dim, seed=cfg.seed)
 
     extra = projection.params() if isinstance(projection, LatentProjection) else None
-    opt_main, opt_policy = make_optimizers(model, hyper, extra)
-
+    opts = make_optimizers(model, hyper, extra)
     start_step = 0
     if trainstate is not None:
-        lin_proj = projection if isinstance(projection, LatentProjection) else None
-        start_step = _load_trainstate(trainstate, model, lin_proj,
-                                      opt_main, opt_policy)
+        start_step = _load_trainstate(trainstate, model, opts)
 
     eval_every = cfg.eval_every
     if eval_every < 0:
@@ -316,10 +303,9 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
         batch = sample_batch(dataset, cfg.batch_size, cfg.horizon, rng)
         if teacher is not None:
             bd = distill_train_step(teacher, model, batch, coeffs, dcfg, hyper,
-                                    opt_main, opt_policy, projection, step=step)
+                                    *opts, projection, step=step)
         else:
-            bd = train_step(model, batch, coeffs, hyper, opt_main, opt_policy,
-                            step=step)
+            bd = train_step(model, batch, coeffs, hyper, *opts, step=step)
         if (step + 1) % cfg.log_interval == 0:
             loss_rows.append(f"{step + 1},{bd.consistency:.8g},{bd.reward:.8g},"
                              f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
@@ -330,11 +316,9 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
 
     metadata = _train_metadata(cfg, tasks, teacher)
     model_hash = write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))
-    lin_proj = projection if isinstance(projection, LatentProjection) else None
     state_hash = write_checkpoint(
         out / "trainstate.tdck",
-        _trainstate_checkpoint(model, lin_proj, opt_main, opt_policy,
-                               cfg.steps, metadata))
+        _trainstate_checkpoint(model, opts, cfg.steps, metadata))
 
     final_eval = None
     if cfg.eval_episodes > 0:
@@ -483,7 +467,7 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
             return "none"
         try:
             return read_checkpoint(path).metadata.get("preset", Path(path).stem)
-        except Exception:
+        except (OSError, CheckpointFormatError):
             return Path(path).stem
 
     cells = list(product(d_axis, b_axis, s_axis, t_axis))

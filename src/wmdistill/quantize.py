@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .checkpoint import Checkpoint, TensorEntry, serialize
+from .checkpoint import Checkpoint, TensorEntry, _serialized_parts
 
 F16_MAX = 65504.0
 F16_MIN_SUBNORMAL = 2.0 ** -24
@@ -73,7 +73,7 @@ def fp16_round_trip(values: np.ndarray) -> Tuple[np.ndarray, int]:
 
 def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
     """Quantize every f32 tensor to f16 storage; f16 tensors pass through."""
-    bytes_before = len(serialize(ckpt))
+    bytes_before = model_size_bytes(ckpt)
     out = Checkpoint(metadata=dict(ckpt.metadata))
     overflow = 0
     per_tensor: Dict[str, Tuple[float, float]] = {}
@@ -93,9 +93,10 @@ def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
         per_tensor[name] = (float(abs_err.max(initial=0.0)),
                             float(rel.max(initial=0.0)))
         out.add_tensor(name, "f16", half.view(np.uint16))
-    report = QuantReport(bytes_before, len(serialize(out)), overflow, per_tensor)
+    report = QuantReport(bytes_before, model_size_bytes(out), overflow, per_tensor)
     return out, report
 
 
 def model_size_bytes(ckpt: Checkpoint) -> int:
-    return len(serialize(ckpt))
+    """The size of `ckpt`'s file, without building the file in memory."""
+    return sum(len(part) for part in _serialized_parts(ckpt))

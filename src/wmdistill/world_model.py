@@ -38,7 +38,7 @@ from .seeding import stream
 
 ACTIVATIONS: Dict[str, Tuple[Callable, Callable]] = {
     "mish": (ad.mish, ad.mish_np),
-    "tanh": (ad.tanh, ad.tanh_np),
+    "tanh": (ad.tanh, np.tanh),
 }
 
 
@@ -59,14 +59,16 @@ PRESETS: Dict[str, SizePreset] = {
 
 class MLP:
     """Fully-connected stack with the shared activation between layers.
+    Its tensors are named "<name>.w<i>" and "<name>.b<i>", the names they
+    are stored under in a checkpoint.
 
     Two forward paths: the graph path for training and a plain-numpy path
     (identical arithmetic) for planning, targets and frozen-teacher
     inference.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, hidden_dim: int, n_hidden: int,
-                 activation: str, rng: np.random.Generator,
+    def __init__(self, name: str, in_dim: int, out_dim: int, hidden_dim: int,
+                 n_hidden: int, activation: str, rng: np.random.Generator,
                  out_tanh: bool = False):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -78,12 +80,14 @@ class MLP:
         dims = [in_dim] + [hidden_dim] * n_hidden + [out_dim]
         self.weights: List[Tensor] = []
         self.biases: List[Tensor] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             bound = 1.0 / math.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             b = rng.uniform(-bound, bound, size=fan_out)
-            self.weights.append(Tensor(w.astype(np.float32), requires_grad=True))
-            self.biases.append(Tensor(b.astype(np.float32), requires_grad=True))
+            self.weights.append(Tensor(w.astype(np.float32), requires_grad=True,
+                                       name=f"{name}.w{i}"))
+            self.biases.append(Tensor(b.astype(np.float32), requires_grad=True,
+                                      name=f"{name}.b{i}"))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         """Graph forward, one `ad.mlp` node. With `frozen` the weights enter
@@ -106,13 +110,6 @@ class MLP:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
-        return out
-
-    def named_params(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"{prefix}.w{i}", w))
-            out.append((f"{prefix}.b{i}", b))
         return out
 
     def set_trainable(self, trainable: bool) -> None:
@@ -141,7 +138,7 @@ class WorldModel:
         self.seed = seed
 
         def build(head: str, in_dim: int, out_dim: int, out_tanh: bool = False) -> MLP:
-            return MLP(in_dim, out_dim, preset.hidden_dim, preset.n_hidden,
+            return MLP(head, in_dim, out_dim, preset.hidden_dim, preset.n_hidden,
                        activation, stream(seed, "init:" + head), out_tanh=out_tanh)
 
         lat, act = preset.latent_dim, act_dim
@@ -237,10 +234,7 @@ class WorldModel:
         return self.policy.params()
 
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
-        out: List[Tuple[str, Tensor]] = []
-        for name in _HEADS:
-            out.extend(getattr(self, name).named_params(name))
-        return out
+        return [(p.name, p) for name in _HEADS for p in getattr(self, name).params()]
 
     def zero_grad(self) -> None:
         for name in _HEADS:
@@ -275,14 +269,19 @@ class WorldModel:
         return ckpt
 
     def load_tensors(self, ckpt: Checkpoint) -> None:
-        for name, p in self.named_parameters():
-            if name not in ckpt.tensors:
-                raise KeyError(f"checkpoint is missing tensor {name!r}")
-            arr = ckpt.tensors[name].as_f32()
-            if arr.shape != p.data.shape:
-                raise ad.ShapeError(f"checkpoint tensor {name!r} has shape "
-                                    f"{arr.shape}, model expects {p.data.shape}")
-            p.data[...] = arr
+        for _, p in self.named_parameters():
+            load_param(ckpt, p)
+
+
+def load_param(ckpt: Checkpoint, p: Tensor) -> None:
+    """Copy the checkpoint tensor named `p.name` into `p.data`, in place."""
+    if p.name not in ckpt.tensors:
+        raise KeyError(f"checkpoint is missing tensor {p.name!r}")
+    arr = ckpt.tensors[p.name].as_f32()
+    if arr.shape != p.data.shape:
+        raise ad.ShapeError(f"checkpoint tensor {p.name!r} has shape "
+                            f"{arr.shape}, model expects {p.data.shape}")
+    p.data[...] = arr
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> WorldModel:

@@ -156,13 +156,14 @@ OPS = {
              lambda a, b: np.mean(_mish64(a) * b), ((4, 3), (4, 3))),
     "scale": (lambda a, b: ad.mean(ad.scale(ad.square(a), 1.7)),
               lambda a, b: np.mean(1.7 * a * a), ((4, 3), (1,))),
-    # linear: input and weight gradients, then input and bias gradients
-    "linear": (lambda a, b: ad.mean(ad.square(ad.linear(a, b, Tensor(LIN_B)))),
+    # linear: a one-layer mlp, x @ w + b; input and weight gradients, then
+    # input and bias gradients
+    "linear": (lambda a, b: ad.mean(ad.square(ad.mlp(a, [b], [Tensor(LIN_B)]))),
                lambda a, b: np.mean((a @ b + LIN_B) ** 2), ((4, 3), (3, 2))),
-    "linear_bias": (lambda a, b: ad.mean(ad.square(ad.linear(a, Tensor(LIN_W), b))),
+    "linear_bias": (lambda a, b: ad.mean(ad.square(ad.mlp(a, [Tensor(LIN_W)], [b]))),
                     lambda a, b: np.mean((a @ LIN_W + b) ** 2), ((4, 3), (2,))),
     # mean straight over a batch op: its (1,) gradient must broadcast first
-    "mean_linear": (lambda a, b: ad.mean(ad.linear(a, b, Tensor(LIN_B))),
+    "mean_linear": (lambda a, b: ad.mean(ad.mlp(a, [b], [Tensor(LIN_B)])),
                     lambda a, b: np.mean(a @ b + LIN_B), ((4, 3), (3, 2))),
     "mean_matmul": (lambda a, b: ad.mean(ad.matmul(a, b)),
                     lambda a, b: np.mean(a @ b), ((4, 3), (3, 2))),
@@ -257,28 +258,6 @@ def test_concat_rows_and_row_weights_reject_bad_shapes():
         ad.mse(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), np.ones(3))
 
 
-def test_linear_matches_add_of_matmul_bitwise():
-    rng = np.random.default_rng(22)
-    x64, w64, b64 = (rng.standard_normal(s) for s in ((9, 5), (5, 4), (4,)))
-    fused = [Tensor(a, requires_grad=True) for a in (x64, w64, b64)]
-    split = [Tensor(a, requires_grad=True) for a in (x64, w64, b64)]
-    y1 = ad.linear(*fused)
-    y2 = ad.add(ad.matmul(split[0], split[1]), split[2])
-    assert np.array_equal(y1.data, y2.data)
-    ad.backward(ad.mean(ad.mish(y1)))
-    ad.backward(ad.mean(ad.mish(y2)))
-    for f, s in zip(fused, split):
-        assert np.array_equal(f.grad, s.grad)
-
-
-def test_linear_shape_errors_name_all_shapes():
-    with pytest.raises(ShapeError) as err:
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
-                  Tensor(np.zeros(3)))
-    assert "(2, 3)" in str(err.value) and "(3, 4)" in str(err.value)
-    assert "(3,)" in str(err.value)
-
-
 def test_mish_np_bitwise_equals_graph_mish_factor():
     edge = np.array([0.0, -0.0, -100.0, 19.99, 20.0, 25.0, 1e4], np.float32)
     rng = np.random.default_rng(23)
@@ -309,11 +288,11 @@ def test_graph_evaluation_deterministic():
 
 def test_dropped_graph_is_freed_without_the_cycle_collector():
     x = Tensor(np.ones((4, 3)))
-    w = Tensor(np.ones((3, 2)), requires_grad=True)
-    b = Tensor(np.zeros(2), requires_grad=True)
+    weights = [Tensor(np.ones(shape), requires_grad=True) for shape in ((3, 2), (2, 2))]
+    biases = [Tensor(np.zeros(2), requires_grad=True) for _ in weights]
     gc.disable()
     try:
-        hidden = ad.mish(ad.linear(x, w, b))
+        hidden = ad.mlp(x, weights, biases)
         loss = ad.mse(ad.concat_rows([hidden, hidden]), np.zeros((8, 2)))
         ad.backward(loss)
         alive = [weakref.ref(hidden.data), weakref.ref(hidden.grad)]
@@ -394,7 +373,7 @@ def test_mlp_node_matches_single_op_chain_bitwise(activation, out_tanh, frozen,
     row_w = rng.uniform(0.5, 2.0, 16)
     results = []
     for build in (lambda m, x, f: m(x, frozen=f), mlp_chain):
-        mlp = MLP(5, 3, 16, n_hidden, activation, np.random.default_rng(7),
+        mlp = MLP("head", 5, 3, 16, n_hidden, activation, np.random.default_rng(7),
                   out_tanh=out_tanh)
         xs = [Tensor(x, requires_grad=x_grad) for x in (x1, x2)]
         # two calls into one loss, so parameter gradients accumulate

@@ -77,6 +77,15 @@ def test_trailing_bytes_are_a_distinct_error(tmp_path):
         read_episode(path)
 
 
+def test_task_id_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "ep.mtep"
+    write_episode(path, _episode(np.random.default_rng(4)))
+    path.write_bytes(path.read_bytes().replace(b"pendulum", b"\xffendulum"))
+    with pytest.raises(EpisodeFormatError,
+                       match=re.escape(f"task id is not utf-8 in episode file {path}")):
+        read_episode(path)
+
+
 def _owns_its_memory(arr):
     while isinstance(arr.base, np.ndarray):
         arr = arr.base

@@ -125,6 +125,44 @@ def test_resume_equals_uninterrupted_bitwise(data_dir, tmp_path):
         == (tmp_path / "resumed" / "model.tdck").read_bytes()
 
 
+def _distill(data_dir, teacher_ckpt, out, mode, steps, resume=""):
+    cfg = RunConfig(dataset=str(data_dir), out=str(out), seed=33, d_coef=0.5,
+                    mode=mode, teacher=str(teacher_ckpt), resume=resume,
+                    **{**FAST, "steps": steps})
+    run_training(cfg, command="distill")
+    return out
+
+
+@pytest.mark.parametrize("mode", ["reward_only", "latent_linear", "latent_pca"])
+def test_distill_resume_equals_uninterrupted_bitwise(data_dir, teacher_ckpt,
+                                                     tmp_path, mode):
+    full = _distill(data_dir, teacher_ckpt, tmp_path / "full", mode, 20)
+    half = _distill(data_dir, teacher_ckpt, tmp_path / "half", mode, 10)
+    resumed = _distill(data_dir, teacher_ckpt, tmp_path / "resumed", mode, 20,
+                       resume=str(half / "trainstate.tdck"))
+    for name in ("model.tdck", "trainstate.tdck"):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_trainstate_tensors_are_named_by_their_parameters(data_dir, teacher_ckpt,
+                                                          tmp_path):
+    out = _distill(data_dir, teacher_ckpt, tmp_path / "run", "latent_linear", 2)
+    ckpt = read_checkpoint(out / "trainstate.tdck")
+    shapes = {name: p.shape
+              for name, p in model_from_checkpoint(ckpt).named_parameters()}
+    teacher_latent = int(read_checkpoint(teacher_ckpt).metadata["latent_dim"])
+    shapes["latent_proj.w"] = (teacher_latent, int(ckpt.metadata["latent_dim"]))
+    main = [n for n in shapes if n.split(".")[0] in
+            ("encoder", "dynamics", "reward", "value", "latent_proj")]
+    trained = {"adam_main": main,
+               "adam_policy": [n for n in shapes if n.startswith("policy.")]}
+    want = dict(shapes)
+    for key, names in trained.items():
+        for name in names:
+            want[f"{key}.m.{name}"] = want[f"{key}.v.{name}"] = shapes[name]
+    assert {name: t.shape for name, t in ckpt.tensors.items()} == want
+
+
 def test_distillation_reduces_teacher_student_gap(data_dir, teacher_ckpt,
                                                   tmp_path):
     cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "d"), seed=41,

@@ -173,6 +173,20 @@ def test_checkpoint_format_errors_are_distinct(tmp_path):
         read_checkpoint(tmp_path / "missing.tdck")
 
 
+@pytest.mark.parametrize("old, new, what", [
+    (b"key=value", b"key_value", "metadata line 'key_value' has no '='"),
+    (b"key=value", b"key=\xffalue", "metadata is not utf-8"),
+    (b"weight", b"\xffeight", "tensor name is not utf-8")])
+def test_malformed_checkpoint_text_names_the_file(tmp_path, old, new, what):
+    ckpt = Checkpoint(metadata={"key": "value"})
+    ckpt.add_tensor("weight", "f32", np.zeros(2, np.float32))
+    path = tmp_path / "m.tdck"
+    path.write_bytes(serialize(ckpt).replace(old, new))
+    with pytest.raises(CheckpointFormatError,
+                       match=re.escape(f"{what} in checkpoint {path}")):
+        read_checkpoint(path)
+
+
 def test_duplicate_tensor_names_rejected():
     ckpt = Checkpoint()
     ckpt.add_tensor("w", "f32", np.zeros(2, np.float32))

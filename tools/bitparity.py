@@ -8,18 +8,19 @@ the package imported from that checkout's src/, it runs at a fixed seed:
     gen-data   mixture policy, 40 episodes per task
     train      teacher-L, batch 16 (or B)
     distill    student, batch 32 (or B), against that teacher, in the
-               reward_only, latent_linear and latent_pca modes
+               reward_only, latent_linear and latent_pca modes, and the
+               latent_linear run once more, resumed from a 30-step trainstate
     quantize   the reward_only student to f16
     eval       the f16 student, one episode per task, and the f32 teacher,
                one pendulum-swingup episode (the 256-wide planner path)
 
 and compares the dataset bytes (episodes and manifest), the model.tdck and
 trainstate.tdck hashes and the config.txt, losses.csv and metrics.csv bytes
-of every training run, the f16 checkpoint hash and quant_report.csv, the
-f16 task scores, the teacher's score and both evals' metrics.csv. It prints
-one line per item and, last, one JSON object with
-every value of both sides. Exit status 0 when everything agrees, 1 when
-anything differs, 2 when a command fails.
+of every training run (the resumed one included), the f16 checkpoint hash
+and quant_report.csv, the f16 task scores, the teacher's score and both
+evals' metrics.csv. It prints one line per item and, last, one JSON object
+with every value of both sides. Exit status 0 when everything agrees, 1
+when anything differs, 2 when a command fails.
 """
 
 from __future__ import annotations
@@ -77,12 +78,20 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     cli("train", "--dataset", "data", "--out", "teacher", "--preset", "teacher-L",
         "--steps", "60", "--batch-size", str(batch or 16), "--seed", s, *TRAIN_FLAGS)
     values.update(training("teacher"))
-    for mode in MODES:
-        cli("distill", "--dataset", "data", "--out", mode,
-            "--teacher", "teacher/model.tdck", "--preset", "student", "--steps", "60",
+
+    def distill(mode: str, out: str, steps: str, *resume: str) -> None:
+        cli("distill", "--dataset", "data", "--out", out,
+            "--teacher", "teacher/model.tdck", "--preset", "student", "--steps", steps,
             "--batch-size", str(batch or 32), "--d-coef", "0.5", "--mode", mode, "--seed", s,
-            *TRAIN_FLAGS)
+            *TRAIN_FLAGS, *resume)
+
+    for mode in MODES:
+        distill(mode, mode, "60")
         values.update(training(mode))
+    distill("latent_linear", "latent_linear-half", "30")
+    distill("latent_linear", "latent_linear-resumed", "60",
+            "--resume", "latent_linear-half/trainstate.tdck")
+    values.update(training("latent_linear-resumed"))
     cli("quantize", "--checkpoint", "reward_only/model.tdck", "--out", "quant",
         "--seed", s)
     values["f16.hash"] = json.loads((work / "quant" / "report.json").read_text())["f16_hash"]
@@ -124,7 +133,7 @@ def main(argv=None) -> int:
     for key in sorted(set(parent) | set(change)):
         a, b = parent.get(key), change.get(key)
         same &= a == b
-        print(f"{key:28s} {'same     ' if a == b else 'DIFFERENT'} {a}"
+        print(f"{key:32s} {'same     ' if a == b else 'DIFFERENT'} {a}"
               + ("" if a == b else f" -> {b}"))
     print(json.dumps({"seed": args.seed, "batch_size": args.batch_size,
                       "identical": same, **sides}, sort_keys=True))
