@@ -295,20 +295,26 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
 
     policy is one of "random", "scripted" (alias "scripted-energy-swingup"),
     "mixture" (even episodes random, odd scripted), or "trained:<checkpoint>".
+    A trained checkpoint that records its tasks must be given them, in order.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    suite = MultiTaskSuite(tuple(tasks))
     trained = None
     if policy.startswith("trained:"):
         # Imported lazily: generation from a trained agent pulls in the planner.
         from .planner import PlannerConfig, rollout_episode
         from .world_model import model_from_checkpoint
-        trained = model_from_checkpoint(read_checkpoint(policy.split(":", 1)[1]))
+        ckpt = read_checkpoint(policy.split(":", 1)[1])
+        known = ckpt.metadata.get("tasks", "")
+        if known and known.split(",") != list(tasks):
+            raise ValueError(f"tasks {','.join(tasks)} are not the checkpoint's "
+                             f"{known}: it plans with that task layout")
+        trained = model_from_checkpoint(ckpt)
     elif policy == "scripted-energy-swingup":
         policy = "scripted"
     elif policy not in ("random", "scripted", "mixture"):
         raise ValueError(f"unknown behavior policy spec {policy!r}")
+    suite = MultiTaskSuite(tuple(tasks))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     entries: List[ManifestEntry] = []
     for task_id in suite.tasks:

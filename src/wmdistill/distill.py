@@ -13,8 +13,8 @@ distill term additionally carries latent_coef * MSE between the teacher's
 (projected) next-latent predictions and the student's:
 
     latent_linear  projection is a trainable student-side matrix
-    latent_pca     projection is fitted once (deflated power iteration on
-                   the covariance of sampled teacher latents) and frozen
+    latent_pca     projection is fitted once (the top eigenvectors of the
+                   covariance of sampled teacher latents) and frozen
 
 d_coef = 0 short-circuits every distillation branch, making the update
 step-for-step identical to from-scratch training.
@@ -132,13 +132,17 @@ class DegenerateDataError(ValueError):
     pass
 
 
-def fit_pca(latents: np.ndarray, k: int, max_iter: int = 1000,
-            tol: float = 1e-8, seed: int = 0) -> PcaProjection:
-    """Deflated power iteration on the sample covariance of `latents`.
+# a principal component with no more variance than this is degenerate
+MIN_VARIANCE = 1e-8
+# teacher latents fit_pca_projection samples
+PCA_SAMPLES = 4096
 
-    Deterministic given the seed. Raises on k > dim and on degenerate
-    (zero-variance) input, naming the failing component dimension.
-    """
+
+def fit_pca(latents: np.ndarray, k: int) -> PcaProjection:
+    """The top-k eigenpairs of the sample covariance of `latents` by descending
+    variance, each component signed so that its largest-magnitude entry is
+    positive. Raises on k > dim and names the first component whose variance
+    is at or below MIN_VARIANCE."""
     x = np.asarray(latents, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("latents must be a (N, dim) matrix")
@@ -147,59 +151,27 @@ def fit_pca(latents: np.ndarray, k: int, max_iter: int = 1000,
         raise ValueError(f"cannot extract {k} components from {dim}-dim latents")
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / max(n - 1, 1)
-
-    components = np.zeros((k, dim))
-    variances = np.zeros(k)
-    residual = cov.copy()
-    for comp in range(k):
-        if np.trace(residual) <= tol:
-            raise DegenerateDataError(
-                f"zero-variance input: no variance left for component {comp} "
-                f"of {dim}-dim latents")
-        rng = stream(seed, "pca", comp)
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            av = residual @ v
-            norm = np.linalg.norm(av)
-            if norm <= tol:
-                raise DegenerateDataError(
-                    f"zero-variance input: power iteration collapsed at "
-                    f"component {comp} of {dim}-dim latents")
-            v_new = av / norm
-            if np.linalg.norm(v_new - v) < tol:
-                v = v_new
-                break
-            v = v_new
-        # re-orthogonalize against earlier components to kill numeric drift
-        for j in range(comp):
-            v -= (v @ components[j]) * components[j]
-        v /= np.linalg.norm(v)
-        lam = float(v @ residual @ v)
-        components[comp] = v
-        variances[comp] = lam
-        residual -= lam * np.outer(v, v)
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / max(n - 1, 1))
+    variances, components = eigvals[::-1][:k], eigvecs[:, ::-1][:, :k].T
+    low = np.flatnonzero(variances <= MIN_VARIANCE)
+    if low.size:
+        raise DegenerateDataError(
+            f"zero-variance input: no variance left for component {low[0]} "
+            f"of {dim}-dim latents")
+    peaks = components[np.arange(k), np.abs(components).argmax(axis=1)]
+    components = components * np.sign(peaks)[:, None]
     return PcaProjection(mean.astype(np.float32),
                          components.astype(np.float32),
                          variances.astype(np.float32))
 
 
-def collect_teacher_latents(teacher: FrozenTeacher, dataset: Dataset,
-                            n: int = 4096, seed: int = 0) -> np.ndarray:
-    """Encode n observations sampled uniformly from the dataset."""
-    rng = stream(seed, "pca-sample")
-    idx = rng.integers(0, dataset.obs.shape[0], size=n)
-    return teacher.model.encode_np(dataset.obs[idx])
-
-
 def fit_pca_projection(teacher: FrozenTeacher, dataset: Dataset, k: int,
-                       n_samples: int = 4096, seed: int = 0) -> PcaProjection:
-    if n_samples < 1000:
-        raise ValueError(f"PCA fitting needs at least 1000 teacher latents, "
-                         f"got {n_samples}")
-    return fit_pca(collect_teacher_latents(teacher, dataset, n_samples, seed),
-                   k, seed=seed)
+                       seed: int = 0) -> PcaProjection:
+    """fit_pca on the teacher's latents of PCA_SAMPLES observations drawn
+    uniformly from the dataset."""
+    rng = stream(seed, "pca-sample")
+    idx = rng.integers(0, dataset.obs.shape[0], size=PCA_SAMPLES)
+    return fit_pca(teacher.model.encode_np(dataset.obs[idx]), k)
 
 
 def teacher_latents(teacher: FrozenTeacher, batch) -> np.ndarray:

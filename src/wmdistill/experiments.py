@@ -470,10 +470,11 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         except (OSError, CheckpointFormatError):
             return Path(path).stem
 
+    labels = {teacher: teacher_label(teacher) for teacher in t_axis}
     cells = list(product(d_axis, b_axis, s_axis, t_axis))
     rows = []
     for i, (d_coef, batch, steps, teacher) in enumerate(cells):
-        label = teacher_label(teacher)
+        label = labels[teacher]
         cell_out = out / f"cell{i:03d}_d{d_coef}_b{batch}_s{steps}_{label}"
         cfg = replace(base, d_coef=d_coef, batch_size=batch, steps=steps,
                       teacher=teacher, out=str(cell_out), resume="")

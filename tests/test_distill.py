@@ -187,7 +187,7 @@ def test_latent_pca_gradients_match_finite_differences():
     student = WorldModel(3, 1, MICRO_S, seed=14)
     batch = make_batch(np.random.default_rng(8), b=3, h=2)
     cloud = np.random.default_rng(9).standard_normal((500, 4)) * [3, 1, .5, .2]
-    pca = fit_pca(cloud, k=2, seed=0)
+    pca = fit_pca(cloud, k=2)
     ad.backward(latent_distill_loss(teacher, student, batch, "latent_pca", pca))
 
     act = ACTS64["mish"]
@@ -210,7 +210,7 @@ def test_stacked_teacher_targets_match_per_step_reference():
     h = 3
     batch = make_batch(np.random.default_rng(10), b=16, h=h)
     cloud = np.random.default_rng(11).standard_normal((500, 4)) * [3, 1, .5, .2]
-    pca = fit_pca(cloud, k=2, seed=0)
+    pca = fit_pca(cloud, k=2)
     reward = latent = 0.0
     for t in range(h):
         obs_t, act_t = batch.obs[:, t], batch.actions[:, t]
@@ -241,7 +241,7 @@ class TestPcaFit:
         rng = np.random.default_rng(0)
         direction = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
         data = rng.standard_normal((2000, 1)) * direction[None, :] + 5.0
-        pca = fit_pca(data, k=1, seed=1)
+        pca = fit_pca(data, k=1)
         cos = abs(float(pca.components[0].astype(np.float64) @ direction))
         assert cos > 0.999
 
@@ -251,7 +251,7 @@ class TestPcaFit:
         scales = np.array([5.0, 3.0, 1.0, 0.5, 0.1])
         basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         data = (rng.standard_normal((4000, 5)) * scales) @ basis.T
-        pca = fit_pca(data, k=2, seed=2)
+        pca = fit_pca(data, k=2)
 
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / (len(data) - 1)
@@ -264,14 +264,14 @@ class TestPcaFit:
     def test_projecting_the_mean_gives_zero(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal((500, 4)) * [2, 1, .5, .1] + [1, -2, 3, 0]
-        pca = fit_pca(data, k=2, seed=3)
+        pca = fit_pca(data, k=2)
         out = pca.project_np(pca.mean[None, :])
         assert np.allclose(out, 0.0, atol=1e-6)
 
     def test_full_rank_is_orthonormal_basis_with_zero_reconstruction_error(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((800, 4)) * [3, 2, 1, 0.5]
-        pca = fit_pca(data, k=4, seed=4)
+        pca = fit_pca(data, k=4)
         comps = pca.components.astype(np.float64)
         gram = comps @ comps.T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-5
@@ -282,15 +282,15 @@ class TestPcaFit:
     def test_duplicated_rows_give_identical_components(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((600, 3)) * [2, 1, 0.3]
-        p1 = fit_pca(data, k=2, seed=5)
-        p2 = fit_pca(np.vstack([data, data]), k=2, seed=5)
+        p1 = fit_pca(data, k=2)
+        p2 = fit_pca(np.vstack([data, data]), k=2)
         for c1, c2 in zip(p1.components, p2.components):
             assert abs(float(c1.astype(np.float64) @ c2.astype(np.float64))) > 0.9999
 
     def test_explained_variance_non_increasing(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((1000, 6)) * [6, 5, 3, 2, 1, 0.5]
-        pca = fit_pca(data, k=6, seed=6)
+        pca = fit_pca(data, k=6)
         ev = pca.explained_variance
         assert np.all(ev[:-1] >= ev[1:] - 1e-6)
 
@@ -302,12 +302,44 @@ class TestPcaFit:
         with pytest.raises(DegenerateDataError, match="component 0"):
             fit_pca(np.ones((100, 3)), k=1)
 
-    def test_deterministic_in_seed(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((400, 4)) * [3, 2, 1, 0.5]
-        p1 = fit_pca(data, k=2, seed=8)
-        p2 = fit_pca(data, k=2, seed=8)
+        p1 = fit_pca(data, k=2)
+        p2 = fit_pca(data, k=2)
         assert np.array_equal(p1.components, p2.components)
+
+    def test_matches_eigh_oracle_with_near_equal_pair(self):
+        # 64-dim cloud whose top 16 variances include the pair 4.0 / 3.98
+        rng = np.random.default_rng(8)
+        scales = np.sqrt(np.concatenate([
+            [9.0, 7.0, 5.5, 4.0, 3.98], np.linspace(3.0, 1.0, 11),
+            np.linspace(0.5, 0.01, 48)]))
+        basis, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        data = (rng.standard_normal((20000, 64)) * scales) @ basis.T + 0.5
+        pca = fit_pca(data, k=16)
+
+        centered = data - data.mean(axis=0)
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (len(data) - 1))
+        order = np.argsort(eigvals)[::-1][:16]
+        top = eigvecs[:, order].T
+        top *= np.sign(top[np.arange(16), np.abs(top).argmax(axis=1)])[:, None]
+        np.testing.assert_allclose(pca.components, top, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(pca.explained_variance, eigvals[order],
+                                   rtol=1e-6)
+
+    def test_largest_magnitude_entry_is_positive(self):
+        rng = np.random.default_rng(9)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        data = (rng.standard_normal((1000, 6)) * [5, 4, 3, 2, 1, .5]) @ basis.T
+        for comp in fit_pca(data, k=6).components:
+            assert comp[np.abs(comp).argmax()] > 0
+
+    def test_rank_one_input_errors_naming_second_component(self):
+        rng = np.random.default_rng(10)
+        data = rng.standard_normal((300, 1)) * np.array([[1.0, -2.0, 0.5]]) + 1.0
+        with pytest.raises(DegenerateDataError, match="component 1 "):
+            fit_pca(data, k=2)
 
 
 def _mini_training_setup(seed, d_coef, mode="reward_only", steps=30):
@@ -355,7 +387,7 @@ def _one_distill_step(mode, d_coef=0.5, seed=64):
         projection = LatentProjection(4, 2, rng=np.random.default_rng(0))
     elif mode == "latent_pca":
         cloud = np.random.default_rng(1).standard_normal((1500, 4)) * [3, 2, 1, .5]
-        projection = fit_pca(cloud, k=2, seed=0)
+        projection = fit_pca(cloud, k=2)
     lin = projection.params() if isinstance(projection, LatentProjection) else None
     om, op = make_optimizers(student, hyper, lin)
     batch = make_batch(np.random.default_rng(103), b=6, h=3)
@@ -429,7 +461,7 @@ def test_latent_modes_train_with_finite_losses(mode):
         extra = projection.params()
     else:
         cloud = np.random.default_rng(1).standard_normal((1500, 4)) * [3, 2, 1, .5]
-        projection = fit_pca(cloud, k=2, seed=0)
+        projection = fit_pca(cloud, k=2)
         extra = None
     om, op = make_optimizers(student, hyper, extra)
     for step in range(40):

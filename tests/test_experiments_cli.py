@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from wmdistill.checkpoint import file_hash, read_checkpoint
-from wmdistill.cli import EXIT_OK, EXIT_USAGE, main
+from wmdistill.checkpoint import file_hash, read_checkpoint, write_checkpoint
+from wmdistill.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from wmdistill.dataset import generate_dataset
 from wmdistill.envs import MultiTaskSuite, TASKS
 from wmdistill.evaluate import evaluate_model, normalized_score
@@ -17,7 +17,7 @@ from wmdistill.experiments import (ResumeMismatchError, RunConfig, SweepGrid,
                                    planner_config, read_config, run_eval,
                                    run_quantize, run_sweep, run_training)
 from wmdistill.planner import PlannerConfig
-from wmdistill.world_model import model_from_checkpoint
+from wmdistill.world_model import WorldModel, model_from_checkpoint
 
 FAST = dict(steps=20, batch_size=8, log_interval=5, eval_every=0,
             eval_episodes=0, preset="student")
@@ -263,6 +263,27 @@ def test_sweep_records_cell_failures_and_continues(data_dir, tmp_path):
     assert [c["error"] for c in on_disk["cells"]] == [c["error"] for c in report["cells"]]
 
 
+def test_sweep_reads_each_teacher_once(data_dir, teacher_ckpt, tmp_path,
+                                       monkeypatch):
+    reads = []
+    real = experiments_module.read_checkpoint
+
+    def counting_read(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(experiments_module, "read_checkpoint", counting_read)
+    base = RunConfig(dataset=str(data_dir), out="", seed=53, steps=2,
+                     batch_size=8, log_interval=1, eval_every=0,
+                     eval_episodes=0, preset="student")
+    grid = SweepGrid(d_coefs=[0.0, 0.4], batch_sizes=[], steps_list=[],
+                     teachers=[str(teacher_ckpt)])
+    report = run_sweep(base, grid, tmp_path / "sweep")
+    assert [c["status"] for c in report["cells"]] == ["ok", "ok"]
+    assert {c["teacher"] for c in report["cells"]} == {"teacher-S"}
+    assert reads == [str(teacher_ckpt)]
+
+
 def test_sweep_empty_grid_is_usage_error(data_dir, tmp_path):
     rc = main(["sweep", "--dataset", str(data_dir),
                "--out", str(tmp_path / "s")])
@@ -300,6 +321,24 @@ def test_eval_task_outside_checkpoint_is_usage_error(tmp_path, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert "cup-catch" in err and "not trained on" in err
+
+
+@pytest.mark.parametrize("tasks", ["cup-catch",
+                                   "cup-catch,cartpole-balance,pendulum-swingup"],
+                         ids=["subset", "reordered"])
+def test_gen_data_from_trained_rejects_other_task_list(tmp_path, capsys, tasks):
+    # the agent pads observations for the task layout it was trained on
+    trained = "pendulum-swingup,cartpole-balance,cup-catch"
+    suite = MultiTaskSuite(tuple(trained.split(",")))
+    model = WorldModel(suite.obs_dim, suite.act_dim, "student", seed=4)
+    write_checkpoint(tmp_path / "model.tdck", model.to_checkpoint({"tasks": trained}))
+    rc = main(["gen-data", "--out", str(tmp_path / "ds"), "--episodes-per-task",
+               "1", "--policy", f"trained:{tmp_path / 'model.tdck'}",
+               "--tasks", tasks])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"tasks {tasks} " in err and f"checkpoint's {trained}" in err
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("line, named", [("d_cof=0.4", "'d_cof'"),
