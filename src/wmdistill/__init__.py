@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .autodiff import Adam, GradientError, ShapeError, Tensor, backward, mse
 from .checkpoint import Checkpoint, content_hash, read_checkpoint, write_checkpoint
 from .dataset import (Dataset, Episode, TransitionBatch, generate_dataset,
-                      load_dataset, read_episode, sample_batch, write_episode)
+                      load_dataset, sample_batch)
 from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
                       PcaProjection, distill_train_step, fit_pca,
                       latent_distill_loss, reward_distill_loss)

@@ -55,8 +55,10 @@ class TensorEntry:
         if self.dtype not in _DTYPE_CODES:
             raise ValueError(f"unsupported dtype {self.dtype!r} for tensor {self.name!r}")
         want = np.float32 if self.dtype == "f32" else np.uint16
-        self.data = np.ascontiguousarray(self.data, dtype=want).reshape(self.shape)
+        data = np.ascontiguousarray(self.data, dtype=want)
         self.shape = tuple(int(d) for d in self.shape)
+        # no reshape when the shape already fits: a read array stays its own base
+        self.data = data if data.shape == self.shape else data.reshape(self.shape)
 
     def as_f32(self) -> np.ndarray:
         """Widen to float32 for compute (exact for every f16 value)."""

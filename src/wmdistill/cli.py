@@ -167,6 +167,8 @@ def _scoring_args(args: argparse.Namespace) -> dict:
         raise UsageError("an output directory is required (--out)")
     if not Path(args.checkpoint).exists():
         raise UsageError(f"checkpoint {args.checkpoint} does not exist")
+    if args.episodes < 1:
+        raise UsageError(f"--episodes must be >= 1, got {args.episodes}")
     return dict(episodes=args.episodes, seed=args.seed or 0,
                 planner_cfg=planner_config(args), gamma=args.gamma)
 

@@ -1,21 +1,16 @@
 """Offline episode persistence and minibatch sampling.
 
-Episodes are stored one per file in a small binary format ("MTEP"):
+A dataset directory holds one file, `dataset.tdck`, in the checkpoint
+container format (`checkpoint.py`), written whole by `write_checkpoint` and
+parsed by `read_checkpoint`. Its three f32 tensors pack every episode's
+rows end to end, in episode order:
 
-    bytes 0..3    magic b"MTEP"
-    u32           version (currently 1)
-    u32           obs_dim
-    u32           act_dim            <- fixed 16-byte header ends here
-    u32           T (number of steps)
-    u16 + bytes   task_id, utf-8, length-prefixed
-    f32[(T+1)*obs_dim]   observations, row-major, little-endian
-    f32[T*act_dim]       actions
-    f32[T]               rewards
+    obs       (sum_e (T_e + 1), obs_dim)
+    actions   (sum_e T_e, act_dim)
+    rewards   (sum_e T_e,)
 
-Round-trips are bit-exact. A dataset directory holds the episode files plus
-a plain-text manifest with one line per episode: path, task, policy label,
-seed. Every file is written through `checkpoint.write_atomic`, so it is
-replaced whole or left as it was, and read by `checkpoint.BoundedReader`.
+Its metadata holds `episodes=<n>` and, for i < n, one line
+`episode.<i>=<task>,<policy>,<seed>,<T>`. Round-trips are bit-exact.
 
 Sampling draws training windows uniformly over all valid (episode, start)
 pairs; a window never crosses an episode boundary.
@@ -23,7 +18,6 @@ pairs; a window never crosses an episode boundary.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -31,18 +25,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkpoint import (BoundedReader, read_checkpoint, text_lines, wire_view,
-                         write_atomic)
-from .envs import MultiTaskSuite, TASKS, scripted_policy
+from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
+from .envs import MultiTaskSuite, TASKS, UsageError, scripted_policy
 from .seeding import stream
 
-MAGIC = b"MTEP"
-VERSION = 1
-MANIFEST_NAME = "manifest.txt"
+DATASET_FILE = "dataset.tdck"
+_ARRAYS = ("obs", "actions", "rewards")
 
 
-class EpisodeFormatError(ValueError):
-    """Malformed episode file: bad magic, version mismatch, or truncation."""
+class DatasetFormatError(ValueError):
+    """Episode records and packed rows that do not fit, or non-finite rows."""
 
 
 @dataclass
@@ -51,22 +43,6 @@ class Episode:
     obs: np.ndarray       # (T+1, obs_dim) float32
     actions: np.ndarray   # (T, act_dim) float32
     rewards: np.ndarray   # (T,) float32
-
-    def __post_init__(self) -> None:
-        self.obs = np.ascontiguousarray(self.obs, dtype=np.float32)
-        self.actions = np.ascontiguousarray(self.actions, dtype=np.float32)
-        self.rewards = np.ascontiguousarray(self.rewards, dtype=np.float32)
-        t = self.rewards.shape[0]
-        if self.obs.ndim != 2 or self.actions.ndim != 2 or self.rewards.ndim != 1:
-            raise ValueError("episode arrays have wrong rank")
-        if self.obs.shape[0] != t + 1 or self.actions.shape[0] != t:
-            raise ValueError(
-                f"inconsistent episode lengths: obs {self.obs.shape}, "
-                f"actions {self.actions.shape}, rewards {self.rewards.shape}")
-        for name, arr in (("obs", self.obs), ("actions", self.actions),
-                          ("rewards", self.rewards)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in episode {name}")
 
     @property
     def length(self) -> int:
@@ -122,125 +98,107 @@ class TransitionBatch:
     task_ids: List[str]
 
 
-def episode_file_size(obs_dim: int, act_dim: int, t: int, task_id: str) -> int:
-    """Exact on-disk size: 16-byte header, T, name, then float32 payload."""
-    payload = 4 * ((t + 1) * obs_dim + t * act_dim + t)
-    return 16 + 4 + 2 + len(task_id.encode("utf-8")) + payload
-
-
-def write_episode(path, episode: Episode) -> None:
-    name = episode.task_id.encode("utf-8")
-    header = struct.pack("<IIIIH", VERSION, episode.obs_dim, episode.act_dim,
-                         episode.length, len(name))
-    write_atomic(path, [MAGIC, header, name, *(
-        wire_view(arr, "<f4") for arr in (episode.obs, episode.actions, episode.rewards))])
-
-
-def read_episode(path) -> Episode:
-    reader = BoundedReader(Path(path).read_bytes(), MAGIC, EpisodeFormatError,
-                           f"episode file {path}")
-    version, obs_dim, act_dim = reader.unpack("<III", "header")
-    if version != VERSION:
-        raise EpisodeFormatError(f"unsupported episode version {version} in {path}")
-    (t,) = reader.unpack("<I", "step count")
-    (name_len,) = reader.unpack("<H", "task id length")
-    task_id = reader.text(name_len, "task id")
-    obs = reader.array("<f4", (t + 1, obs_dim), "observations")
-    actions = reader.array("<f4", (t, act_dim), "actions")
-    rewards = reader.array("<f4", (t,), "rewards")
-    reader.finish()
-    return Episode(task_id, obs, actions, rewards)
-
-
 @dataclass
-class ManifestEntry:
-    path: str
+class EpisodeRecord:
+    """What a dataset file's metadata keeps of one episode."""
     task_id: str
     policy: str
     seed: int
+    length: int
 
 
 @dataclass
 class Dataset:
-    """Episodes plus their rows packed end to end: `obs`, `actions` and
-    `rewards` stack every episode's arrays in order, and each episode's
-    arrays are views into them. The episode list is fixed once built."""
+    """Episodes with their rows packed end to end: `obs`, `actions` and
+    `rewards` stack every episode's arrays in the order of `records`, and
+    each of `episodes` holds views into them. Building one checks, once over
+    the packed rows, that they are finite and fit the records."""
     root: Path
-    episodes: List[Episode]
-    manifest: List[ManifestEntry] = field(default_factory=list)
-    obs: np.ndarray = field(init=False, repr=False, compare=False)
-    actions: np.ndarray = field(init=False, repr=False, compare=False)
-    rewards: np.ndarray = field(init=False, repr=False, compare=False)
+    obs: np.ndarray = field(repr=False, compare=False)
+    actions: np.ndarray = field(repr=False, compare=False)
+    rewards: np.ndarray = field(repr=False, compare=False)
+    records: List[EpisodeRecord]
+    episodes: List[Episode] = field(init=False, repr=False, compare=False)
     # horizon -> _WindowTable, built on first use by sample_batch
     _windows: Dict[int, "_WindowTable"] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        eps = self.episodes
-        if not eps:
-            self.obs = np.zeros((0, 0), np.float32)
-            self.actions = np.zeros((0, 0), np.float32)
-            self.rewards = np.zeros(0, np.float32)
-            return
-        self.obs = np.concatenate([ep.obs for ep in eps])
-        self.actions = np.concatenate([ep.actions for ep in eps])
-        self.rewards = np.concatenate([ep.rewards for ep in eps])
+        for name in _ARRAYS:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
+        obs, actions, rewards = self.obs, self.actions, self.rewards
+        where = f"dataset {self.root}"
+        if not self.records:
+            raise DatasetFormatError(f"{where} holds no episodes")
+        if obs.ndim != 2 or actions.ndim != 2 or rewards.ndim != 1:
+            raise DatasetFormatError(f"{where}: packed arrays have wrong rank")
+        steps = sum(r.length for r in self.records)
+        if (len(rewards), len(actions), len(obs)) != (steps, steps, steps + len(self.records)):
+            raise DatasetFormatError(
+                f"{where}: its {len(self.records)} episode records add up to {steps} "
+                f"steps, but it holds obs {obs.shape}, actions {actions.shape} and "
+                f"rewards {rewards.shape}")
+        for name in _ARRAYS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DatasetFormatError(f"non-finite values in the {name} of {where}")
+        self.episodes = []
         o = a = 0
-        for ep in eps:
-            t = ep.length
-            ep.obs = self.obs[o:o + t + 1]
-            ep.actions = self.actions[a:a + t]
-            ep.rewards = self.rewards[a:a + t]
+        for r in self.records:
+            t = r.length
+            self.episodes.append(Episode(r.task_id, obs[o:o + t + 1], actions[a:a + t],
+                                         rewards[a:a + t]))
             o, a = o + t + 1, a + t
+
+    @classmethod
+    def from_episodes(cls, root, episodes: Sequence[Episode],
+                      records: Sequence[EpisodeRecord]) -> "Dataset":
+        """Pack `episodes`, copying their rows once."""
+        return cls(Path(root), *(np.concatenate([getattr(ep, name) for ep in episodes])
+                                 for name in _ARRAYS), list(records))
 
     @property
     def tasks(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for ep in self.episodes:
-            if ep.task_id not in seen:
-                seen.append(ep.task_id)
-        return tuple(seen)
+        return tuple(dict.fromkeys(r.task_id for r in self.records))
 
     @property
     def obs_dim(self) -> int:
-        return self.episodes[0].obs_dim
+        return self.obs.shape[1]
 
     @property
     def act_dim(self) -> int:
-        return self.episodes[0].act_dim
+        return self.actions.shape[1]
 
 
-def write_manifest(path, entries: Sequence[ManifestEntry]) -> None:
-    counts: Dict[str, int] = {}
-    for e in entries:
-        counts[e.task_id] = counts.get(e.task_id, 0) + 1
-    lines = [f"# episodes={len(entries)}"]
-    lines += [f"# {task}={n}" for task, n in sorted(counts.items())]
-    lines += [f"{e.path},{e.task_id},{e.policy},{e.seed}" for e in entries]
-    write_atomic(path, [text_lines(lines)])
-
-
-def read_manifest(path) -> List[ManifestEntry]:
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rel, task, policy, seed = line.split(",")
-        entries.append(ManifestEntry(rel, task, policy, int(seed)))
-    return entries
+def write_dataset(dataset: Dataset) -> None:
+    """Write `dataset` to `dataset.tdck` in its root directory."""
+    metadata = {"episodes": str(len(dataset.records))}
+    for i, r in enumerate(dataset.records):
+        metadata[f"episode.{i}"] = f"{r.task_id},{r.policy},{r.seed},{r.length}"
+    ckpt = Checkpoint(metadata)
+    for name in _ARRAYS:
+        ckpt.add_tensor(name, "f32", getattr(dataset, name))
+    write_checkpoint(dataset.root / DATASET_FILE, ckpt)
 
 
 def load_dataset(root) -> Dataset:
     root = Path(root)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in dataset directory {root}")
-    manifest = read_manifest(manifest_path)
-    episodes = [read_episode(root / e.path) for e in manifest]
-    if not episodes:
-        raise ValueError(f"dataset {root} is empty")
-    return Dataset(root, episodes, manifest)
+    path = root / DATASET_FILE
+    if not path.exists():
+        raise FileNotFoundError(f"no {DATASET_FILE} in dataset directory {root}; "
+                                "regenerate it with gen-data (.mtep episode files "
+                                "and manifest.txt are no longer read)")
+    ckpt = read_checkpoint(path)
+    try:
+        md = ckpt.metadata
+        records = []
+        for i in range(int(md["episodes"])):
+            task, policy, seed, length = md[f"episode.{i}"].split(",")
+            records.append(EpisodeRecord(task, policy, int(seed), int(length)))
+        arrays = [ckpt.get(name).as_f32() for name in _ARRAYS]
+    except (KeyError, ValueError) as exc:
+        raise DatasetFormatError(f"dataset file {path}: a missing or malformed "
+                                 f"entry ({type(exc).__name__}: {exc})") from None
+    return Dataset(root, *arrays, records)
 
 
 @dataclass
@@ -259,24 +217,22 @@ class _WindowTable:
 
 
 def _window_table(dataset: Dataset, horizon: int) -> _WindowTable:
-    episodes = dataset.episodes
-    lengths = np.array([ep.length for ep in episodes])
+    records = dataset.records
+    lengths = np.array([r.length for r in records])
     valid = lengths - horizon + 1
     if np.any(valid <= 0):
         raise ValueError(f"window horizon {horizon} exceeds an episode length")
     cum = np.cumsum(valid)
     first = cum - valid                          # first window index per episode
     act_off = np.cumsum(lengths) - lengths       # first action row per episode
-    obs_off = act_off + np.arange(len(episodes))  # one more obs row per episode
+    obs_off = act_off + np.arange(len(records))  # one more obs row per episode
     return _WindowTable(cum, int(cum[-1]), obs_off - first, act_off - first,
-                        np.array([ep.task_id for ep in episodes], dtype=object))
+                        np.array([r.task_id for r in records], dtype=object))
 
 
 def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
                  rng: np.random.Generator) -> TransitionBatch:
     """Uniform draw over all valid (episode, start) window positions."""
-    if not dataset.episodes:
-        raise ValueError("cannot sample from an empty dataset")
     table = dataset._windows.get(horizon)
     if table is None:
         table = dataset._windows[horizon] = _window_table(dataset, horizon)
@@ -291,12 +247,15 @@ def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
 
 def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
                      tasks: Sequence[str] = TASKS) -> Dataset:
-    """Write num_episodes per task plus a manifest; deterministic in seed.
+    """Write num_episodes per task to `dataset.tdck`; deterministic in seed.
 
     policy is one of "random", "scripted" (alias "scripted-energy-swingup"),
     "mixture" (even episodes random, odd scripted), or "trained:<checkpoint>".
     A trained checkpoint that records its tasks must be given them, in order.
+    Bad input raises UsageError before any file is written.
     """
+    if num_episodes < 1:
+        raise UsageError(f"episodes per task must be >= 1, got {num_episodes}")
     trained = None
     if policy.startswith("trained:"):
         # Imported lazily: generation from a trained agent pulls in the planner.
@@ -305,18 +264,18 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
         ckpt = read_checkpoint(policy.split(":", 1)[1])
         known = ckpt.metadata.get("tasks", "")
         if known and known.split(",") != list(tasks):
-            raise ValueError(f"tasks {','.join(tasks)} are not the checkpoint's "
+            raise UsageError(f"tasks {','.join(tasks)} are not the checkpoint's "
                              f"{known}: it plans with that task layout")
         trained = model_from_checkpoint(ckpt)
     elif policy == "scripted-energy-swingup":
         policy = "scripted"
     elif policy not in ("random", "scripted", "mixture"):
-        raise ValueError(f"unknown behavior policy spec {policy!r}")
+        raise UsageError(f"unknown behavior policy spec {policy!r}; known: random, "
+                         "scripted, mixture, trained:<checkpoint>")
     suite = MultiTaskSuite(tuple(tasks))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    entries: List[ManifestEntry] = []
+    episodes: List[Episode] = []
+    records: List[EpisodeRecord] = []
     for task_id in suite.tasks:
         env = suite.envs[task_id]
         scripted = scripted_policy(task_id)
@@ -334,8 +293,10 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
                 if policy == "mixture":
                     label = "random" if idx % 2 == 0 else "scripted"
                 episode = run_episode(env, actors[label], ep_seed, pad, suite.act_dim)
-            fname = f"{task_id}_{idx:04d}.mtep"
-            write_episode(out_dir / fname, episode)
-            entries.append(ManifestEntry(fname, task_id, label, ep_seed))
-    write_manifest(out_dir / MANIFEST_NAME, entries)
-    return load_dataset(out_dir)
+            episodes.append(episode)
+            records.append(EpisodeRecord(task_id, label, ep_seed, episode.length))
+    out_dir = Path(out_dir)
+    dataset = Dataset.from_episodes(out_dir, episodes, records)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_dataset(dataset)
+    return dataset

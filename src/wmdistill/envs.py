@@ -56,7 +56,11 @@ class EnvSpec:
     dt: float = DT
 
 
-class UnknownTaskError(ValueError):
+class UsageError(ValueError):
+    """Bad input, such as a setting out of range: the CLI exits 2 on it."""
+
+
+class UnknownTaskError(UsageError):
     pass
 
 

@@ -37,17 +37,13 @@ from .checkpoint import (Checkpoint, CheckpointFormatError, file_hash,
 from .dataset import load_dataset, sample_batch
 from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
                       distill_train_step, fit_pca_projection)
-from .envs import MultiTaskSuite
+from .envs import MultiTaskSuite, UsageError
 from .evaluate import EvalResult, evaluate_model, normalized_score
 from .planner import PlannerConfig
 from .quantize import to_fp16
 from .seeding import stream
 from .world_model import (LossCoeffs, TrainHyper, WorldModel, load_param,
                           make_optimizers, model_from_checkpoint, train_step)
-
-
-class UsageError(Exception):
-    """A run was asked for with bad input: the CLI exits 2 on it."""
 
 
 class ResumeMismatchError(UsageError):
@@ -63,9 +59,25 @@ _PLAN_FIELDS = (("plan_horizon", "horizon"), ("plan_samples", "num_samples"),
 
 def planner_config(values) -> PlannerConfig:
     """PlannerConfig from the plan_* attributes of `values` (a RunConfig or
-    parsed CLI flags); an attribute that is None keeps PlannerConfig's default."""
+    parsed CLI flags); an attribute that is None keeps PlannerConfig's
+    default. A value out of range raises UsageError naming its flag."""
     chosen = {field: getattr(values, name) for name, field in _PLAN_FIELDS}
-    return PlannerConfig(**{k: v for k, v in chosen.items() if v is not None})
+    try:
+        return PlannerConfig(**{k: v for k, v in chosen.items() if v is not None})
+    except UsageError as exc:
+        message = str(exc)
+        for name, field in _PLAN_FIELDS:
+            message = message.replace(field, _flag(name))
+        raise UsageError(message) from None
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# RunConfig fields with a lower bound; PlannerConfig checks the plan_* ones
+_LOWER_BOUNDS = (("steps", 0), ("batch_size", 1), ("log_interval", 1),
+                 ("eval_episodes", 0), ("eval_every", -1))
 
 
 @dataclass
@@ -98,6 +110,12 @@ class RunConfig:
     plan_iterations: int = PlannerConfig.iterations
     plan_temperature: float = PlannerConfig.temperature
     resume: str = ""
+
+    def __post_init__(self) -> None:
+        for name, low in _LOWER_BOUNDS:
+            if getattr(self, name) < low:
+                raise UsageError(f"{_flag(name)} must be >= {low}, got {getattr(self, name)}")
+        planner_config(self)
 
     def coeffs(self) -> LossCoeffs:
         return LossCoeffs(self.alpha_consistency, self.alpha_reward,
@@ -228,13 +246,11 @@ def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
 
 def _load_trainstate(ckpt: Checkpoint, model: WorldModel,
                      opts: Sequence[Adam]) -> int:
-    """Restore what `_trainstate_checkpoint` stored; returns the step."""
-    model.load_tensors(ckpt)
+    """Restore what `_trainstate_checkpoint` stored, in place; returns the step."""
     held = dict(model.named_parameters())
+    for p in [*held.values(), *(p for opt in opts for p in opt.params if p.name not in held)]:
+        load_param(ckpt, p)
     for key, opt in zip(_ADAM_KEYS, opts):
-        for p in opt.params:
-            if p.name not in held:
-                load_param(ckpt, p)
         opt.load_state([(ckpt.get(f"{key}.m.{p.name}").as_f32(),
                          ckpt.get(f"{key}.v.{p.name}").as_f32())
                         for p in opt.params], int(ckpt.metadata[f"{key}_t"]))
@@ -455,7 +471,6 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         raise ValueError("sweep grid is empty: give at least one axis")
     t0 = time.perf_counter()
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
 
     d_axis = grid.d_coefs or [base.d_coef]
     b_axis = grid.batch_sizes or [base.batch_size]
@@ -471,14 +486,15 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
             return Path(path).stem
 
     labels = {teacher: teacher_label(teacher) for teacher in t_axis}
-    cells = list(product(d_axis, b_axis, s_axis, t_axis))
+    # every cell's config is built, and so checked, before the first cell runs
+    cells = [replace(base, d_coef=d, batch_size=b, steps=s, teacher=t, resume="",
+                     out=str(out / f"cell{i:03d}_d{d}_b{b}_s{s}_{labels[t]}"))
+             for i, (d, b, s, t) in enumerate(product(d_axis, b_axis, s_axis, t_axis))]
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, (d_coef, batch, steps, teacher) in enumerate(cells):
-        label = labels[teacher]
-        cell_out = out / f"cell{i:03d}_d{d_coef}_b{batch}_s{steps}_{label}"
-        cfg = replace(base, d_coef=d_coef, batch_size=batch, steps=steps,
-                      teacher=teacher, out=str(cell_out), resume="")
-        command = "distill" if teacher else "train"
+    for cfg in cells:
+        cell_out = Path(cfg.out)
+        command = "distill" if cfg.teacher else "train"
         error = None
         try:
             report = run_training(cfg, command=command)
@@ -490,8 +506,9 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
             write_atomic(cell_out / "error.txt",
                          [traceback.format_exc().encode("utf-8")])
         rows.append({"score": score, "status": status, "error": error,
-                     "d_coef": d_coef, "batch_size": batch, "steps": steps,
-                     "teacher": label, "out_dir": str(cell_out)})
+                     "d_coef": cfg.d_coef, "batch_size": cfg.batch_size,
+                     "steps": cfg.steps, "teacher": labels[cfg.teacher],
+                     "out_dir": cfg.out})
 
     def sort_key(row):
         score = row["score"] if row["score"] is not None else -np.inf

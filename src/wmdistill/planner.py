@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dataset import Episode, run_episode
+from .envs import UsageError
 
 
 class PlannerError(RuntimeError):
@@ -48,12 +49,13 @@ class PlannerConfig:
     policy_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "num_samples", "num_elites", "iterations"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_elites > self.num_samples:
-            raise ValueError("num_elites must be <= num_samples")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise UsageError("num_elites must be <= num_samples")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise UsageError("temperature must be positive")
 
 
 def _rollout(model, z0: np.ndarray, pi0: np.ndarray, mean: np.ndarray,

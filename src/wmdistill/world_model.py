@@ -60,7 +60,8 @@ PRESETS: Dict[str, SizePreset] = {
 class MLP:
     """Fully-connected stack with the shared activation between layers.
     Its tensors are named "<name>.w<i>" and "<name>.b<i>", the names they
-    are stored under in a checkpoint.
+    are stored under in a checkpoint. A Generator `init` draws each layer
+    uniform in +-1/sqrt(fan_in); a Checkpoint gives copies of its tensors.
 
     Two forward paths: the graph path for training and a plain-numpy path
     (identical arithmetic) for planning, targets and frozen-teacher
@@ -68,8 +69,8 @@ class MLP:
     """
 
     def __init__(self, name: str, in_dim: int, out_dim: int, hidden_dim: int,
-                 n_hidden: int, activation: str, rng: np.random.Generator,
-                 out_tanh: bool = False):
+                 n_hidden: int, activation: str,
+                 init: Union[np.random.Generator, Checkpoint], out_tanh: bool = False):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.in_dim = in_dim
@@ -81,13 +82,16 @@ class MLP:
         self.weights: List[Tensor] = []
         self.biases: List[Tensor] = []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            bound = 1.0 / math.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            b = rng.uniform(-bound, bound, size=fan_out)
-            self.weights.append(Tensor(w.astype(np.float32), requires_grad=True,
-                                       name=f"{name}.w{i}"))
-            self.biases.append(Tensor(b.astype(np.float32), requires_grad=True,
-                                      name=f"{name}.b{i}"))
+            w_name, b_name = f"{name}.w{i}", f"{name}.b{i}"
+            if isinstance(init, Checkpoint):
+                w = checkpoint_tensor(init, w_name, (fan_in, fan_out)).copy()
+                b = checkpoint_tensor(init, b_name, (fan_out,)).copy()
+            else:
+                bound = 1.0 / math.sqrt(fan_in)
+                w = init.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
+                b = init.uniform(-bound, bound, size=fan_out).astype(np.float32)
+            self.weights.append(Tensor(w, requires_grad=True, name=w_name))
+            self.biases.append(Tensor(b, requires_grad=True, name=b_name))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         """Graph forward, one `ad.mlp` node. With `frozen` the weights enter
@@ -121,11 +125,13 @@ _HEADS = ("encoder", "dynamics", "reward", "value", "policy", "target_value")
 
 
 class WorldModel:
-    """One encoder plus dynamics/reward/value/policy heads over the latent."""
+    """One encoder plus dynamics/reward/value/policy heads over the latent.
+    Given `ckpt`, every head is built from its tensors and no stream is drawn."""
 
     def __init__(self, obs_dim: int, act_dim: int,
                  preset: Union[str, SizePreset] = "student",
-                 activation: str = "mish", seed: int = 0):
+                 activation: str = "mish", seed: int = 0,
+                 ckpt: Optional[Checkpoint] = None):
         if isinstance(preset, str):
             if preset not in PRESETS:
                 raise ValueError(f"unknown size preset {preset!r}; known: {sorted(PRESETS)}")
@@ -138,8 +144,9 @@ class WorldModel:
         self.seed = seed
 
         def build(head: str, in_dim: int, out_dim: int, out_tanh: bool = False) -> MLP:
+            init = stream(seed, "init:" + head) if ckpt is None else ckpt
             return MLP(head, in_dim, out_dim, preset.hidden_dim, preset.n_hidden,
-                       activation, stream(seed, "init:" + head), out_tanh=out_tanh)
+                       activation, init, out_tanh=out_tanh)
 
         lat, act = preset.latent_dim, act_dim
         self.encoder = build("encoder", obs_dim, lat)
@@ -148,13 +155,10 @@ class WorldModel:
         self.value = build("value", lat + act, 1)
         self.policy = build("policy", lat, act, out_tanh=True)
         self.target_value = build("target_value", lat + act, 1)
-        self._copy_head(self.value, self.target_value)
+        if ckpt is None:
+            for ps, pd in zip(self.value.params(), self.target_value.params()):
+                pd.data[...] = ps.data
         self.target_value.set_trainable(False)
-
-    @staticmethod
-    def _copy_head(src: MLP, dst: MLP) -> None:
-        for ps, pd in zip(src.params(), dst.params()):
-            pd.data[...] = ps.data
 
     # --- graph forward (training) ---
 
@@ -268,20 +272,21 @@ class WorldModel:
             ckpt.add_tensor(name, "f32", p.data)
         return ckpt
 
-    def load_tensors(self, ckpt: Checkpoint) -> None:
-        for _, p in self.named_parameters():
-            load_param(ckpt, p)
+
+def checkpoint_tensor(ckpt: Checkpoint, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """The checkpoint tensor `name`, widened to f32; it must have `shape`."""
+    if name not in ckpt.tensors:
+        raise KeyError(f"checkpoint is missing tensor {name!r}")
+    arr = ckpt.tensors[name].as_f32()
+    if arr.shape != tuple(shape):
+        raise ad.ShapeError(f"checkpoint tensor {name!r} has shape "
+                            f"{arr.shape}, model expects {tuple(shape)}")
+    return arr
 
 
 def load_param(ckpt: Checkpoint, p: Tensor) -> None:
     """Copy the checkpoint tensor named `p.name` into `p.data`, in place."""
-    if p.name not in ckpt.tensors:
-        raise KeyError(f"checkpoint is missing tensor {p.name!r}")
-    arr = ckpt.tensors[p.name].as_f32()
-    if arr.shape != p.data.shape:
-        raise ad.ShapeError(f"checkpoint tensor {p.name!r} has shape "
-                            f"{arr.shape}, model expects {p.data.shape}")
-    p.data[...] = arr
+    p.data[...] = checkpoint_tensor(ckpt, p.name, p.data.shape)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> WorldModel:
@@ -290,11 +295,9 @@ def model_from_checkpoint(ckpt: Checkpoint) -> WorldModel:
     md = ckpt.metadata
     preset = SizePreset(md["preset"], int(md["latent_dim"]),
                         int(md["hidden_dim"]), int(md["n_hidden"]))
-    model = WorldModel(int(md["obs_dim"]), int(md["act_dim"]), preset,
-                       activation=md.get("activation", "mish"),
-                       seed=int(md.get("seed", "0")))
-    model.load_tensors(ckpt)
-    return model
+    return WorldModel(int(md["obs_dim"]), int(md["act_dim"]), preset,
+                      activation=md.get("activation", "mish"),
+                      seed=int(md.get("seed", "0")), ckpt=ckpt)
 
 
 @dataclass

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from wmdistill.checkpoint import file_hash, read_checkpoint, write_checkpoint
-from wmdistill.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from wmdistill.dataset import generate_dataset
+from wmdistill.cli import EXIT_OK, EXIT_USAGE, main
+from wmdistill.dataset import generate_dataset, load_dataset
 from wmdistill.envs import MultiTaskSuite, TASKS
 from wmdistill.evaluate import evaluate_model, normalized_score
-import wmdistill.dataset as dataset_module
+import wmdistill.checkpoint as checkpoint_module
 import wmdistill.experiments as experiments_module
 from wmdistill.experiments import (ResumeMismatchError, RunConfig, SweepGrid,
                                    planner_config, read_config, run_eval,
@@ -181,7 +181,8 @@ def test_cli_gen_data_and_exit_codes(tmp_path):
     rc = main(["gen-data", "--out", str(tmp_path / "ds"),
                "--episodes-per-task", "1", "--policy", "random", "--seed", "2"])
     assert rc == EXIT_OK
-    assert len(list((tmp_path / "ds").glob("*.mtep"))) == 3
+    assert [p.name for p in (tmp_path / "ds").iterdir()] == ["dataset.tdck"]
+    assert len(load_dataset(tmp_path / "ds").episodes) == 3
 
     assert main(["train", "--dataset", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "x")]) == EXIT_USAGE
@@ -335,10 +336,63 @@ def test_gen_data_from_trained_rejects_other_task_list(tmp_path, capsys, tasks):
     rc = main(["gen-data", "--out", str(tmp_path / "ds"), "--episodes-per-task",
                "1", "--policy", f"trained:{tmp_path / 'model.tdck'}",
                "--tasks", tasks])
-    assert rc == EXIT_RUNTIME
+    assert rc == EXIT_USAGE
     err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert f"tasks {tasks} " in err and f"checkpoint's {trained}" in err
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--tasks", "bogus", "unknown task 'bogus'"),
+    ("--policy", "dagger", "unknown behavior policy spec 'dagger'"),
+    ("--episodes-per-task", "0", "episodes per task must be >= 1")])
+def test_gen_data_bad_input_is_usage_error(tmp_path, capsys, flag, value, named):
+    argv = ["gen-data", "--out", str(tmp_path / "ds"), "--episodes-per-task", "1"]
+    rc = main(argv + [flag, value])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "ds").exists()
+
+
+# (command, flag, value): each setting is out of range; the eval cases also
+# cover the planner flags of train, distill and sweep, which RunConfig checks
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--plan-iterations", "0"), ("eval", "--plan-elites", "0"),
+    ("eval", "--plan-samples", "0"), ("eval", "--episodes", "0"),
+    ("train", "--plan-elites", "0"),
+    ("train", "--steps", "-5"), ("train", "--batch-size", "0"),
+    ("train", "--log-interval", "0"), ("train", "--eval-episodes", "-1"),
+    ("train", "--eval-every", "-2")])
+def test_out_of_range_setting_is_usage_error(data_dir, teacher_ckpt, tmp_path, capsys,
+                                             command, flag, value):
+    out = tmp_path / "run"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(teacher_ckpt), "--episodes", "1"]
+    else:
+        argv = [command, "--dataset", str(data_dir), "--steps", "2", "--batch-size", "4",
+                "--eval-episodes", "0"]
+    rc = main(argv + ["--out", str(out), flag, value])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be >= ") and f"got {value}" in err
+    assert not out.exists()
+
+
+def test_sweep_grid_value_out_of_range_runs_no_cell(data_dir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "0",
+               "--eval-episodes", "0", "--grid-batch-size", "4,0"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --batch-size must be >= 1, got 0")
+    assert not out.exists()
+
+
+def test_steps_zero_stays_valid(data_dir, tmp_path):
+    assert main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "run"),
+                 "--steps", "0", "--eval-episodes", "0"]) == EXIT_OK
+    assert (tmp_path / "run" / "model.tdck").exists()
 
 
 @pytest.mark.parametrize("line, named", [("d_cof=0.4", "'d_cof'"),
@@ -448,7 +502,7 @@ def _gen_data(root, data_dir, teacher_ckpt, variant):
     ("config.txt", _train_run), ("losses.csv", _train_run), ("metrics.csv", _train_run),
     ("metrics.csv", _eval_run), ("quant_report.csv", _quantize_run),
     ("sweep.csv", _sweep_run), ("error.txt", _sweep_run),
-    ("manifest.txt", _gen_data), ("pendulum-swingup_0000.mtep", _gen_data)])
+    ("dataset.tdck", _gen_data)])
 def test_failed_write_keeps_the_previous_file_and_no_temp_file(
         data_dir, teacher_ckpt, tmp_path, monkeypatch, name, write):
     write(tmp_path, data_dir, teacher_ckpt, 0)
@@ -466,7 +520,7 @@ def test_failed_write_keeps_the_previous_file_and_no_temp_file(
             raise OSError("disk full")
         return real(target, torn())
 
-    for module in (experiments_module, dataset_module):
+    for module in (experiments_module, checkpoint_module):
         monkeypatch.setattr(module, "write_atomic", torn_write)
     with pytest.raises(OSError, match="disk full"):
         write(tmp_path, data_dir, teacher_ckpt, 1)

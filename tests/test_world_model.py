@@ -376,6 +376,39 @@ def test_checkpoint_roundtrip_keeps_metadata_architecture_of_a_preset_name():
         assert np.array_equal(p1.data, p2.data)
 
 
+def test_model_from_checkpoint_draws_no_random_init(monkeypatch):
+    """Every head, the target included, comes straight from the checkpoint:
+    no init stream is drawn and the target is not a copy of the value head."""
+    import wmdistill.world_model as wm
+    model = micro_model(seed=22)
+    model.target_value.weights[0].data[...] += 0.5   # target differs from value
+    ckpt = model.to_checkpoint({"seed": "22"})
+
+    def no_stream(*args):
+        raise AssertionError(f"stream{args} drawn while loading a checkpoint")
+    monkeypatch.setattr(wm, "stream", no_stream)
+    clone = model_from_checkpoint(ckpt)
+    named = clone.named_parameters()
+    assert [n for n, _ in named] == sorted(ckpt.tensors, key=[n for n, _ in named].index)
+    assert {n for n, _ in named} == set(ckpt.tensors)
+    for name, p in named:
+        assert p.data.tobytes() == ckpt.tensors[name].data.tobytes(), name
+        assert not np.shares_memory(p.data, ckpt.tensors[name].data), name
+    assert not clone.target_value.weights[0].requires_grad
+
+
+def test_model_from_checkpoint_names_a_missing_or_misshapen_tensor():
+    ckpt = micro_model(seed=23).to_checkpoint()
+    del ckpt.tensors["target_value.b1"]
+    with pytest.raises(KeyError, match="target_value.b1"):
+        model_from_checkpoint(ckpt)
+    ckpt = micro_model(seed=23).to_checkpoint()
+    ckpt.tensors["policy.w0"].data = np.zeros((3, 3), np.float32)
+    ckpt.tensors["policy.w0"].shape = (3, 3)
+    with pytest.raises(ShapeError, match="policy.w0"):
+        model_from_checkpoint(ckpt)
+
+
 def test_obs_dim_mismatch_rejected():
     model = micro_model(seed=20)
     with pytest.raises(ShapeError):

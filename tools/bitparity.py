@@ -14,11 +14,14 @@ the package imported from that checkout's src/, it runs at a fixed seed:
     eval       the f16 student, one episode per task, and the f32 teacher,
                one pendulum-swingup episode (the 256-wide planner path)
 
-and compares the dataset bytes (episodes and manifest), the model.tdck and
+and compares the dataset's bytes and its content, the model.tdck and
 trainstate.tdck hashes and the config.txt, losses.csv and metrics.csv bytes
 of every training run (the resumed one included), the f16 checkpoint hash
 and quant_report.csv, the f16 task scores, the teacher's score and both
-evals' metrics.csv. It prints one line per item and, last, one JSON object
+evals' metrics.csv. The dataset's content is hashed by the checkout's own
+load_dataset: the packed obs, actions and rewards bytes plus each episode's
+task, policy, seed and length, so a change of container is checked on what
+it holds. It prints one line per item and, last, one JSON object
 with every value of both sides. Exit status 0 when everything agrees, 1
 when anything differs, 2 when a command fails.
 """
@@ -51,6 +54,23 @@ def _dir_hash(root: Path) -> str:
     return digest.hexdigest()
 
 
+# Run by each checkout's interpreter on its own dataset. Checkouts from
+# before the one-file dataset keep the per-episode records in `manifest`.
+DATASET_CONTENT = """
+import hashlib, sys
+from wmdistill.dataset import load_dataset
+ds = load_dataset(sys.argv[1])
+digest = hashlib.sha256()
+for arr in (ds.obs, ds.actions, ds.rewards):
+    digest.update(f"{arr.dtype}{arr.shape}".encode())
+    digest.update(arr.tobytes())
+records = getattr(ds, "records", None) or ds.manifest
+for ep, rec in zip(ds.episodes, records, strict=True):
+    digest.update(f"{ep.task_id},{rec.policy},{rec.seed},{ep.length};".encode())
+print(digest.hexdigest())
+"""
+
+
 def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     """Every compared value of one checkout, keyed by item name."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -74,7 +94,13 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     s = str(seed)
     cli("gen-data", "--out", "data", "--episodes-per-task", "40",
         "--policy", "mixture", "--seed", s)
-    values = {"dataset": _dir_hash(work / "data")}
+    content = subprocess.run([sys.executable, "-c", DATASET_CONTENT, "data"], env=env,
+                             cwd=work, capture_output=True, text=True)
+    if content.returncode != 0:
+        raise RuntimeError(f"{root}: hashing the dataset's content exited "
+                           f"{content.returncode}\n{content.stderr}")
+    values = {"dataset": _dir_hash(work / "data"),
+              "dataset.content": content.stdout.strip()}
     cli("train", "--dataset", "data", "--out", "teacher", "--preset", "teacher-L",
         "--steps", "60", "--batch-size", str(batch or 16), "--seed", s, *TRAIN_FLAGS)
     values.update(training("teacher"))
