@@ -104,22 +104,6 @@ class Tensor:
         nm = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, op={self.op!r}{req}{nm})"
 
-    # Binary ops delegate to the module-level functions below.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
 
 def _result(data: np.ndarray, op: str, parents: Tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
@@ -266,18 +250,23 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def _mish_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """tanh(softplus(x)) and sigmoid(x) from a single exp.
+def _mish_parts(x: np.ndarray, need_sig: bool = True
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """tanh(softplus(x)) and sigmoid(x) from a single exp, in two buffers;
+    the sigmoid only when `need_sig`, else None.
 
     With e = exp(x), tanh(log1p(e)) = e(e+2) / (e(e+2) + 2) -- no
     cancellation, and it saturates to exactly 1.0 for large x. The input is
     clipped at 20 so e^2 cannot overflow float32; beyond that point both
     factors are already exactly 1.0f.
     """
-    e = np.exp(np.minimum(x, np.float32(20.0)))
-    num = e * (e + np.float32(2.0))
-    t = num / (num + np.float32(2.0))
-    sig = e / (e + np.float32(1.0))
+    e = np.minimum(x, np.float32(20.0))
+    np.exp(e, out=e)
+    t = e + np.float32(2.0)
+    t *= e                               # num = e * (e + 2)
+    sig = e / (e + np.float32(1.0)) if need_sig else None
+    np.add(t, np.float32(2.0), out=e)
+    t /= e                               # tanh(softplus(x)) = num / (num + 2)
     return t, sig
 
 
@@ -293,16 +282,34 @@ def mish(a: Tensor) -> Tensor:
 
 
 def mish_np(x: np.ndarray) -> np.ndarray:
-    """Forward-only mish in two buffers: the ops and order of
-    x * _mish_parts(x)[0], without the sigmoid the backward needs."""
-    e = np.minimum(x, np.float32(20.0))
-    np.exp(e, out=e)
-    t = e + np.float32(2.0)
-    t *= e                               # num = e * (e + 2)
-    np.add(t, np.float32(2.0), out=e)
-    t /= e                               # tanh(softplus(x)) = num / (num + 2)
+    """Forward-only mish: x * _mish_parts(x)[0], without the sigmoid."""
+    t = _mish_parts(x, False)[0]
     t *= x
     return t
+
+
+def hidden_layers(h: np.ndarray, weights, biases, activation: str,
+                  saved: Optional[list] = None) -> np.ndarray:
+    """The hidden layers of an MLP: per (w, b), y = h @ w, y += b, then
+    `activation` ("mish" or "tanh"). (k, in, out) weights with (k, 1, out)
+    biases run k stacked heads, each slice in its own BLAS call. With `saved`
+    (the graph path) each layer appends (its input, (y, t, sig)) or (its
+    input, tanh(y)) and never writes them again; without it the activation
+    runs in place, on arrays made here only."""
+    mish_act = activation == "mish"
+    for w, b in zip(weights, biases):
+        y = h @ w
+        y += b
+        if saved is None:
+            h = mish_np(y) if mish_act else np.tanh(y, out=y)
+        elif mish_act:
+            t, sig = _mish_parts(y)
+            saved.append((h, (y, t, sig)))
+            h = y * t
+        else:
+            saved.append((h, np.tanh(y)))
+            h = saved[-1][1]
+    return h
 
 
 def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
@@ -323,22 +330,12 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
         raise ShapeError(f"mlp: input shape {x.shape} does not fit first "
                          f"weight {weights[0].shape}")
     last = len(weights) - 1
-    inputs: List[np.ndarray] = []   # each layer's input h
-    saved: list = []                # per hidden layer: (y, t, sig) or tanh(y)
-    h = x.data
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        inputs.append(h)
-        y = h @ w.data
-        y += b.data
-        if i == last:
-            h = y
-        elif activation == "mish":
-            t, sig = _mish_parts(y)
-            h = y * t
-            saved.append((y, t, sig))
-        else:
-            h = np.tanh(y)
-            saved.append(h)
+    saved: list = []     # per layer: (its input, what its activation keeps)
+    h = hidden_layers(x.data, [w.data for w in weights[:last]],
+                      [b.data for b in biases[:last]], activation, saved)
+    saved.append((h, None))
+    h = h @ weights[last].data
+    h += biases[last].data
     if out_tanh:
         h = np.tanh(h)
     out = _result(h, "mlp", (x,) if frozen else (x, *weights, *biases))
@@ -353,12 +350,13 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
             if diagnose:
                 _check_rule(g, last, "tanh")
         for i in range(last, -1, -1):
+            inp, kept = saved[i]
             if i < last:
-                g = (_mish_rule(g, *saved[i]) if activation == "mish"
-                     else _tanh_rule(g, saved[i]))
+                g = (_mish_rule(g, *kept) if activation == "mish"
+                     else _tanh_rule(g, kept))
                 if diagnose:
                     _check_rule(g, i, activation)
-            g = _linear_rule(g, inputs[i], weights[i], biases[i],
+            g = _linear_rule(g, inp, weights[i], biases[i],
                              i > 0 or x.requires_grad, train)
             if diagnose:
                 for arr in (g, *((weights[i].grad, biases[i].grad) if train else ())):

@@ -48,13 +48,6 @@ class DistillConfig:
     mode: str = "reward_only"
     latent_coef: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.d_coef < 0:
-            raise ValueError("d_coef must be nonnegative")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown distillation mode {self.mode!r}; "
-                             f"known: {MODES}")
-
 
 class FrozenTeacher:
     """A pretrained world model with untrainable parameters.

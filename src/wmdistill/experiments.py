@@ -21,6 +21,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import json
+import operator
 import time
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
@@ -35,15 +36,16 @@ from .checkpoint import (Checkpoint, CheckpointFormatError, file_hash,
                          read_checkpoint, text_lines, write_atomic,
                          write_checkpoint)
 from .dataset import load_dataset, sample_batch
-from .distill import (DistillConfig, FrozenTeacher, LatentProjection,
+from .distill import (MODES, DistillConfig, FrozenTeacher, LatentProjection,
                       distill_train_step, fit_pca_projection)
 from .envs import MultiTaskSuite, UsageError
 from .evaluate import EvalResult, evaluate_model, normalized_score
 from .planner import PlannerConfig
 from .quantize import to_fp16
 from .seeding import stream
-from .world_model import (LossCoeffs, TrainHyper, WorldModel, load_param,
-                          make_optimizers, model_from_checkpoint, train_step)
+from .world_model import (ACTIVATIONS, PRESETS, LossCoeffs, TrainHyper,
+                          WorldModel, load_param, make_optimizers,
+                          model_from_checkpoint, train_step)
 
 
 class ResumeMismatchError(UsageError):
@@ -75,9 +77,15 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-# RunConfig fields with a lower bound; PlannerConfig checks the plan_* ones
-_LOWER_BOUNDS = (("steps", 0), ("batch_size", 1), ("log_interval", 1),
-                 ("eval_episodes", 0), ("eval_every", -1))
+# (RunConfig field, comparison, bound) for every bounded field;
+# PlannerConfig checks the plan_* ones
+_BOUNDS = (("steps", ">=", 0), ("batch_size", ">=", 1), ("log_interval", ">=", 1),
+           ("eval_episodes", ">=", 0), ("eval_every", ">=", -1), ("horizon", ">=", 1),
+           ("rho", ">", 0), ("rho", "<=", 1), ("alpha_consistency", ">=", 0),
+           ("alpha_reward", ">=", 0), ("alpha_value", ">=", 0), ("d_coef", ">=", 0),
+           ("latent_coef", ">=", 0), ("lr", ">", 0), ("gamma", ">=", 0),
+           ("gamma", "<=", 1), ("tau", ">=", 0), ("tau", "<=", 1))
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
 @dataclass
@@ -112,9 +120,15 @@ class RunConfig:
     resume: str = ""
 
     def __post_init__(self) -> None:
-        for name, low in _LOWER_BOUNDS:
-            if getattr(self, name) < low:
-                raise UsageError(f"{_flag(name)} must be >= {low}, got {getattr(self, name)}")
+        for name, op, bound in _BOUNDS:
+            if not _COMPARE[op](getattr(self, name), bound):
+                raise UsageError(f"{_flag(name)} must be {op} {bound}, "
+                                 f"got {getattr(self, name)}")
+        for name, known in (("preset", PRESETS), ("activation", ACTIVATIONS),
+                            ("mode", MODES)):
+            if getattr(self, name) not in known:
+                raise UsageError(f"{_flag(name)} must be one of {', '.join(known)}, "
+                                 f"got {getattr(self, name)!r}")
         planner_config(self)
 
     def coeffs(self) -> LossCoeffs:
@@ -273,6 +287,10 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
     """Shared from-scratch / distillation training loop."""
     t0 = time.perf_counter()
     dataset = load_dataset(cfg.dataset)
+    shortest = min(r.length for r in dataset.records)
+    if cfg.horizon > shortest:
+        raise UsageError(f"--horizon {cfg.horizon} is longer than the shortest "
+                         f"episode of {cfg.dataset} ({shortest} steps)")
     tasks = list(dataset.tasks)
     teacher: Optional[FrozenTeacher] = None
     if command == "distill":

@@ -63,9 +63,9 @@ class MLP:
     are stored under in a checkpoint. A Generator `init` draws each layer
     uniform in +-1/sqrt(fan_in); a Checkpoint gives copies of its tensors.
 
-    Two forward paths: the graph path for training and a plain-numpy path
-    (identical arithmetic) for planning, targets and frozen-teacher
-    inference.
+    Two forward paths, both through `ad.hidden_layers`: the graph path for
+    training and a plain-numpy path (the same bits) for planning, targets
+    and frozen-teacher inference.
     """
 
     def __init__(self, name: str, in_dim: int, out_dim: int, hidden_dim: int,
@@ -77,7 +77,6 @@ class MLP:
         self.out_dim = out_dim
         self.activation = activation
         self.out_tanh = out_tanh
-        self._act_np = ACTIVATIONS[activation][1]
         dims = [in_dim] + [hidden_dim] * n_hidden + [out_dim]
         self.weights: List[Tensor] = []
         self.biases: List[Tensor] = []
@@ -102,12 +101,11 @@ class MLP:
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         last = len(self.weights) - 1
-        h = np.asarray(x, dtype=np.float32)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data
-            h += b.data
-            if i < last:
-                h = self._act_np(h)
+        h = ad.hidden_layers(np.asarray(x, dtype=np.float32),
+                             [w.data for w in self.weights[:last]],
+                             [b.data for b in self.biases[:last]], self.activation)
+        h = h @ self.weights[last].data
+        h += self.biases[last].data
         return np.tanh(h, out=h) if self.out_tanh else h
 
     def params(self) -> List[Tensor]:
@@ -202,13 +200,13 @@ class WorldModel:
         call. The stacks are built from the live weights on every call, so
         in-place optimizer updates never leave them stale."""
         heads = (self.reward, self.dynamics)
-        act = ACTIVATIONS[self.activation][1]
         x = np.asarray(np.concatenate([z, a], axis=1), dtype=np.float32)
-        h = np.array((x, x))
-        for i in range(len(self.reward.weights) - 1):
-            h = h @ np.array([m.weights[i].data for m in heads])
-            h += np.array([m.biases[i].data for m in heads])[:, None]
-            h = act(h)
+        layers = range(len(self.reward.weights) - 1)
+        h = ad.hidden_layers(
+            np.array((x, x)),
+            (np.array([m.weights[i].data for m in heads]) for i in layers),
+            (np.array([m.biases[i].data for m in heads])[:, None] for i in layers),
+            self.activation)
         r, z_next = (h[k] @ m.weights[-1].data for k, m in enumerate(heads))
         r += self.reward.biases[-1].data
         z_next += self.dynamics.biases[-1].data
@@ -307,15 +305,6 @@ class LossCoeffs:
     alpha_value: float = 0.5
     rho: float = 0.5
     horizon: int = 3
-
-    def __post_init__(self) -> None:
-        for name in ("alpha_consistency", "alpha_reward", "alpha_value"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError("rho must lie in (0, 1]")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
 
 @dataclass

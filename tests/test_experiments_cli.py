@@ -389,6 +389,47 @@ def test_sweep_grid_value_out_of_range_runs_no_cell(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+# (command, flag, value, what the error says after the flag): each training
+# setting is out of range, unknown, or (--horizon 500) longer than every
+# episode of the dataset
+@pytest.mark.parametrize("command, flag, value, said", [
+    ("train", "--horizon", "0", "must be >= 1, got 0"),
+    ("train", "--horizon", "500", "500 is longer than the shortest episode"),
+    ("train", "--rho", "2", "must be <= 1, got 2.0"),
+    ("train", "--alpha-reward", "-1", "must be >= 0, got -1.0"),
+    ("train", "--preset", "bogus",
+     "must be one of teacher-L, teacher-S, student, got 'bogus'"),
+    ("train", "--activation", "relu", "must be one of mish, tanh, got 'relu'"),
+    ("train", "--lr", "-1", "must be > 0, got -1.0"),
+    ("train", "--lr", "0", "must be > 0, got 0.0"),
+    ("train", "--gamma", "5", "must be <= 1, got 5.0"),
+    ("train", "--gamma", "-1", "must be >= 0, got -1.0"),
+    ("train", "--tau", "2", "must be <= 1, got 2.0"),
+    ("distill", "--latent-coef", "-1", "must be >= 0, got -1.0"),
+    ("distill", "--d-coef", "-1", "must be >= 0, got -1.0"),
+    ("distill", "--mode", "bogus",
+     "must be one of reward_only, latent_linear, latent_pca, got 'bogus'")])
+def test_bad_training_setting_is_usage_error(data_dir, teacher_ckpt, tmp_path, capsys,
+                                             command, flag, value, said):
+    out = tmp_path / "run"
+    argv = [command, "--dataset", str(data_dir), "--out", str(out), "--steps", "2",
+            "--batch-size", "4", "--eval-episodes", "0", flag, value]
+    if command == "distill":
+        argv += ["--teacher", str(teacher_ckpt)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} {said}")
+    assert not out.exists()
+
+
+def test_sweep_grid_d_coef_out_of_range_runs_no_cell(data_dir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "0",
+               "--eval-episodes", "0", "--grid-d-coef", "0.1,-1"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --d-coef must be >= 0, got -1")
+    assert not out.exists()
+
+
 def test_steps_zero_stays_valid(data_dir, tmp_path):
     assert main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "run"),
                  "--steps", "0", "--eval-episodes", "0"]) == EXIT_OK

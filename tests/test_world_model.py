@@ -15,7 +15,7 @@ from wmdistill.world_model import (LossBreakdown, LossCoeffs, PRESETS,
 
 from oracle_refs import (ACTS64, analytic_head_grads, central_diff_layers,
                          composite_loss64, composite_targets64, grads_close,
-                         head_np, model_layers64, policy_objective64)
+                         head_np, mlp_chain, model_layers64, policy_objective64)
 
 MICRO = SizePreset("micro", latent_dim=2, hidden_dim=8, n_hidden=1)
 
@@ -92,6 +92,75 @@ def test_step_np_equals_reward_and_dynamics_heads_bitwise(preset, activation):
     r, z_next = model.step_np(z, a)
     assert r.tobytes() == model.reward_np(z, a).tobytes()
     assert z_next.tobytes() == model.dynamics_np(z, a).tobytes()
+
+
+def _chain_and_node(mlp, x, target):
+    """(value, input gradient, parameter gradients) of the frozen single-op
+    chain and of the mlp node on `x`, each backpropagated from one mse."""
+    results = []
+    for build in (mlp_chain, lambda m, xt: m(xt)):
+        for p in mlp.params():
+            p.grad = None
+        xt = Tensor(x, requires_grad=True)
+        out = build(mlp, xt)
+        ad.backward(ad.mse(out, target))
+        results.append((out.data, xt.grad, [p.grad for p in mlp.params()]))
+    return results
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["mish", "tanh"])
+@pytest.mark.parametrize("n_hidden", [0, 2])
+@pytest.mark.parametrize("rows", [1, 3, 32, 128, 4096])
+def test_layer_loop_paths_equal_single_op_chain_bitwise(activation, n_hidden, rows):
+    # forward_np, the mlp node and both step_np heads all run
+    # ad.hidden_layers; each must equal the frozen single-op chain
+    model = WorldModel(6, 2, SizePreset("loop", 4, 16, n_hidden),
+                       activation=activation, seed=11)
+    rng = np.random.default_rng(rows)
+    z = (rng.standard_normal((rows, 4)) * 3).astype(np.float32)
+    a = rng.uniform(-1, 1, (rows, 2)).astype(np.float32)
+    za = np.concatenate([z, a], axis=1)
+    r, z_next = model.step_np(z, a)
+    for mlp, x, from_step in ((model.reward, za, r[:, None]),
+                              (model.dynamics, za, z_next),
+                              (model.policy, z, None)):
+        target = rng.standard_normal((rows, mlp.out_dim)).astype(np.float32)
+        (want, want_gx, want_gp), (got, got_gx, got_gp) = _chain_and_node(mlp, x, target)
+        assert _same_bits(got, want)
+        assert _same_bits(mlp.forward_np(x), want)
+        assert from_step is None or _same_bits(np.ascontiguousarray(from_step), want)
+        assert _same_bits(got_gx, want_gx)
+        assert all(_same_bits(g, w) for g, w in zip(got_gp, want_gp, strict=True))
+
+
+@pytest.mark.parametrize("activation", ["mish", "tanh"])
+def test_numpy_forwards_leave_what_a_graph_node_kept(activation):
+    # the in-place numpy path must never write an array the graph keeps for
+    # its backward, even when it is handed the graph's own input array
+    model = WorldModel(6, 2, "student", activation=activation, seed=12)
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((32, model.latent_dim)).astype(np.float32)
+    a = rng.uniform(-1, 1, (32, 2)).astype(np.float32)
+    za = np.concatenate([z, a], axis=1)
+    grads = []
+    for interleave in (False, True):
+        model.zero_grad()
+        xs = [Tensor(za, requires_grad=True), Tensor(z, requires_grad=True)]
+        outs = [model.reward(xs[0]), model.policy(xs[1])]
+        kept = [t.data.copy() for t in xs + outs]
+        if interleave:
+            model.reward.forward_np(xs[0].data)
+            model.policy.forward_np(xs[1].data)
+            model.step_np(z, a)
+        assert all(_same_bits(t.data, k) for t, k in zip(xs + outs, kept))
+        ad.backward(ad.add(ad.mean(outs[0]), ad.mean(ad.square(outs[1]))))
+        grads.append([x.grad for x in xs]
+                     + [p.grad for m in (model.reward, model.policy) for p in m.params()])
+    assert all(_same_bits(g, w) for g, w in zip(grads[1], grads[0], strict=True))
 
 
 def test_zero_weight_heads_output_zero():

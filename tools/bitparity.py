@@ -8,11 +8,13 @@ the package imported from that checkout's src/, it runs at a fixed seed:
     gen-data   mixture policy, 40 episodes per task
     train      teacher-L, batch 16 (or B)
     distill    student, batch 32 (or B), against that teacher, in the
-               reward_only, latent_linear and latent_pca modes, and the
-               latent_linear run once more, resumed from a 30-step trainstate
+               reward_only, latent_linear and latent_pca modes, the
+               latent_linear run once more, resumed from a 30-step
+               trainstate, and a reward_only student with tanh activations
     quantize   the reward_only student to f16
-    eval       the f16 student, one episode per task, and the f32 teacher,
-               one pendulum-swingup episode (the 256-wide planner path)
+    eval       the f16 student, one episode per task, the f32 teacher, one
+               pendulum-swingup episode (the 256-wide planner path), and the
+               f32 tanh student, one cartpole-balance episode
 
 and compares the dataset's bytes and its content, the model.tdck and
 trainstate.tdck hashes and the config.txt, losses.csv and metrics.csv bytes
@@ -105,11 +107,11 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
         "--steps", "60", "--batch-size", str(batch or 16), "--seed", s, *TRAIN_FLAGS)
     values.update(training("teacher"))
 
-    def distill(mode: str, out: str, steps: str, *resume: str) -> None:
+    def distill(mode: str, out: str, steps: str, *extra: str) -> None:
         cli("distill", "--dataset", "data", "--out", out,
             "--teacher", "teacher/model.tdck", "--preset", "student", "--steps", steps,
             "--batch-size", str(batch or 32), "--d-coef", "0.5", "--mode", mode, "--seed", s,
-            *TRAIN_FLAGS, *resume)
+            *TRAIN_FLAGS, *extra)
 
     for mode in MODES:
         distill(mode, mode, "60")
@@ -118,6 +120,8 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     distill("latent_linear", "latent_linear-resumed", "60",
             "--resume", "latent_linear-half/trainstate.tdck")
     values.update(training("latent_linear-resumed"))
+    distill("reward_only", "tanh", "60", "--activation", "tanh")
+    values.update(training("tanh"))
     cli("quantize", "--checkpoint", "reward_only/model.tdck", "--out", "quant",
         "--seed", s)
     values["f16.hash"] = json.loads((work / "quant" / "report.json").read_text())["f16_hash"]
@@ -133,6 +137,11 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     scores = json.loads((work / "eval-teacher" / "report.json").read_text())["task_scores"]
     values["teacher.eval.pendulum-swingup"] = repr(scores["pendulum-swingup"])
     values["teacher.eval.metrics_csv"] = _sha256(work / "eval-teacher" / "metrics.csv")
+    cli("eval", "--checkpoint", "tanh/model.tdck", "--out", "eval-tanh",
+        "--tasks", "cartpole-balance", "--episodes", "1", "--seed", s)
+    scores = json.loads((work / "eval-tanh" / "report.json").read_text())["task_scores"]
+    values["tanh.eval.cartpole-balance"] = repr(scores["cartpole-balance"])
+    values["tanh.eval.metrics_csv"] = _sha256(work / "eval-tanh" / "metrics.csv")
     return values
 
 
