@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, distill, eval, quantize, sweep.
-Common flags: --config PATH (key=value file, overridden by explicit flags),
---seed, --out. Exit codes: 0 ok, 1 runtime failure, 2 usage or missing
-input.
+Subcommands: gen-data, train, distill, eval, quantize, sweep. A run
+setting's flag is its RunConfig field (`--batch-size` is `batch_size`);
+train, distill and sweep also read settings from a --config key=value file,
+which explicit flags override. Exit codes: 0 ok, 1 runtime failure, 2 usage
+or missing input.
 """
 
 from __future__ import annotations
@@ -16,72 +17,43 @@ from typing import List, Optional
 
 from .dataset import generate_dataset
 from .envs import TASKS
-from .experiments import (DEFAULT_D_COEF_GRID, RunConfig, SweepGrid,
-                          UsageError, config_from_values, planner_config,
-                          read_config, run_eval, run_quantize, run_sweep,
-                          run_training)
+from .experiments import (DEFAULT_D_COEF_GRID, DISTILL_SETTINGS,
+                          SCORING_SETTINGS, SETTING_TYPES, RunConfig, SweepGrid,
+                          UsageError, cli_flag, planner_config, read_config,
+                          run_eval, run_quantize, run_sweep, run_training)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None,
-                        help="key=value config file; explicit flags win")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", type=str, help="output directory")
+# (name, flag, type, help) of each RunConfig field, worked out once per process
+_SETTING_FLAGS = [(f.name, cli_flag(f.name), SETTING_TYPES[f.type], f.metadata["help"])
+                  for f in fields(RunConfig)]
 
 
-# Unset flags keep PlannerConfig's defaults (experiments.planner_config).
-_PLAN_FLAGS = [
-    ("--plan-horizon", int, "planner horizon"),
-    ("--plan-samples", int, "planner candidates"),
-    ("--plan-elites", int, "planner elites"),
-    ("--plan-iterations", int, "planner iterations"),
-    ("--plan-temperature", float, "planner softmax temperature"),
-]
-
-_TRAIN_FLAGS = [
-    ("--dataset", str, "dataset directory"),
-    ("--steps", int, "training steps"),
-    ("--batch-size", int, "batch size"),
-    ("--preset", str, "model size preset (teacher-L, teacher-S, student)"),
-    ("--activation", str, "mish or tanh"),
-    ("--lr", float, "Adam learning rate"),
-    ("--gamma", float, "TD discount"),
-    ("--tau", float, "target-head soft-update rate"),
-    ("--alpha-consistency", float, "consistency loss weight"),
-    ("--alpha-reward", float, "reward loss weight"),
-    ("--alpha-value", float, "value loss weight"),
-    ("--rho", float, "per-horizon-step decay"),
-    ("--horizon", int, "training window length"),
-    ("--log-interval", int, "steps between loss rows"),
-    ("--eval-every", int, "steps between periodic evals (0 disables, -1 auto)"),
-    ("--eval-episodes", int, "episodes per task per eval"),
-    *_PLAN_FLAGS,
-    ("--resume", str, "trainstate checkpoint to resume from"),
-]
-
-_DISTILL_FLAGS = [
-    ("--teacher", str, "frozen teacher checkpoint"),
-    ("--d-coef", float, "distillation loss coefficient"),
-    ("--mode", str, "reward_only, latent_linear or latent_pca"),
-    ("--latent-coef", float, "latent term weight inside the distill term"),
-]
-
-
-def _add_flags(parser, flags) -> None:
-    for flag, ftype, help_text in flags:
-        parser.add_argument(flag, type=ftype, help=help_text)
+def _add_settings(parser: argparse.ArgumentParser, names=None) -> None:
+    """One flag per RunConfig field in `names` (every field when None), typed
+    as the field and defaulting to None (unset)."""
+    for name, flag, ftype, help_text in _SETTING_FLAGS:
+        if names is None or name in names:
+            parser.add_argument(flag, type=ftype, help=help_text)
 
 
 def _add_scoring(parser: argparse.ArgumentParser) -> None:
     """Flags shared by eval and quantize, which score a stored checkpoint."""
+    _add_settings(parser, SCORING_SETTINGS)
     parser.add_argument("--checkpoint", type=str, required=True)
     parser.add_argument("--episodes", type=int, default=10)
-    parser.add_argument("--gamma", type=float, default=0.99)
-    _add_flags(parser, _PLAN_FLAGS)
+
+
+def _add_run(sub, command: str, help_text: str, names=None) -> argparse.ArgumentParser:
+    """A training subcommand: --config plus the flags of the settings `names`."""
+    parser = sub.add_parser(command, help=help_text)
+    parser.add_argument("--config", type=str, default=None,
+                        help="key=value config file; explicit flags win")
+    _add_settings(parser, names)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,38 +65,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate an offline dataset")
-    _add_common(p)
+    _add_settings(p, ("out", "seed"))
     p.add_argument("--episodes-per-task", type=int, default=10)
     p.add_argument("--policy", type=str, default="mixture",
                    help="random | scripted | mixture | trained:<checkpoint>")
     p.add_argument("--tasks", type=str, default=",".join(TASKS),
                    help="comma-separated task list")
 
-    p = sub.add_parser("train", help="train a model from scratch")
-    _add_common(p)
-    _add_flags(p, _TRAIN_FLAGS)
-
-    p = sub.add_parser("distill", help="distill from a frozen teacher")
-    _add_common(p)
-    _add_flags(p, _TRAIN_FLAGS)
-    _add_flags(p, _DISTILL_FLAGS)
+    _add_run(sub, "train", "train a model from scratch",
+             {name for name, *_ in _SETTING_FLAGS} - set(DISTILL_SETTINGS))
+    _add_run(sub, "distill", "distill from a frozen teacher")
 
     p = sub.add_parser("eval", help="score a checkpoint with planner rollouts")
-    _add_common(p)
     _add_scoring(p)
     p.add_argument("--tasks", type=str, default="",
                    help="comma-separated subset; default: checkpoint metadata")
 
     p = sub.add_parser("quantize", help="convert a checkpoint to f16 storage")
-    _add_common(p)
     _add_scoring(p)
     p.add_argument("--eval", action="store_true",
                    help="also score float and f16 models side by side")
 
-    p = sub.add_parser("sweep", help="grid sweep over training cells")
-    _add_common(p)
-    _add_flags(p, _TRAIN_FLAGS)
-    _add_flags(p, _DISTILL_FLAGS)
+    p = _add_run(sub, "sweep", "grid sweep over training cells")
     p.add_argument("--grid-d-coef", type=str, default="",
                    help=f"comma list; 'reference' = {DEFAULT_D_COEF_GRID}")
     p.add_argument("--grid-batch-size", type=str, default="",
@@ -136,24 +98,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < config file < explicit CLI flags into a RunConfig."""
-    values = {}
-    if args.config:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """Merge defaults < --config file (train, distill and sweep) < explicit
+    flags into a RunConfig. Every command writes into --out, so it is required.
+
+    train refuses a config file that sets distillation, unless the file is a
+    train run's own record (a from-scratch sweep cell records its d_coef).
+    """
+    file_values, file_command = {}, None
+    if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file {path} does not exist")
-        file_values, _ = read_config(path)
-        values.update(file_values)
-    for f in fields(RunConfig):
-        arg_val = getattr(args, f.name, None)
-        if arg_val is not None:
-            values[f.name] = str(arg_val)
-    cfg = config_from_values(values)
-    if not cfg.dataset:
-        raise UsageError("a dataset directory is required (--dataset)")
+        file_values, file_command = read_config(path)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = RunConfig(**{**file_values, **given})
+    distilling = [repr(name) for name in DISTILL_SETTINGS
+                  if getattr(cfg, name) != getattr(RunConfig, name)]
+    if args.command == "train" and file_command != "train" and distilling:
+        raise UsageError(f"config key(s) {', '.join(distilling)} set distillation, "
+                         "which train does not run; use distill")
     if not cfg.out:
         raise UsageError("an output directory is required (--out)")
+    return cfg
+
+
+def _training_config(args: argparse.Namespace) -> RunConfig:
+    """The run's RunConfig, once its dataset and resume checkpoint exist."""
+    cfg = _run_config(args)
+    if not cfg.dataset:
+        raise UsageError("a dataset directory is required (--dataset)")
     if not Path(cfg.dataset).exists():
         raise UsageError(f"dataset directory {cfg.dataset} does not exist")
     if cfg.resume and not Path(cfg.resume).exists():
@@ -162,15 +137,15 @@ def _resolved_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _scoring_args(args: argparse.Namespace) -> dict:
-    """Scoring keywords for eval and quantize, after checking --out and --checkpoint."""
-    if not args.out:
-        raise UsageError("an output directory is required (--out)")
+    """Scoring keywords for eval and quantize, after checking their settings,
+    --checkpoint and --episodes."""
+    cfg = _run_config(args)
     if not Path(args.checkpoint).exists():
         raise UsageError(f"checkpoint {args.checkpoint} does not exist")
     if args.episodes < 1:
         raise UsageError(f"--episodes must be >= 1, got {args.episodes}")
-    return dict(episodes=args.episodes, seed=args.seed or 0,
-                planner_cfg=planner_config(args), gamma=args.gamma)
+    return dict(episodes=args.episodes, seed=cfg.seed,
+                planner_cfg=planner_config(cfg), gamma=cfg.gamma)
 
 
 def _parse_grid_axis(raw: str, conv):
@@ -180,23 +155,16 @@ def _parse_grid_axis(raw: str, conv):
 
 
 def _cmd_gen_data(args) -> int:
-    if not args.out:
-        raise UsageError("an output directory is required (--out)")
+    cfg = _run_config(args)
     tasks = tuple(t for t in args.tasks.split(",") if t)
-    generate_dataset(args.out, args.episodes_per_task, args.policy,
-                     args.seed or 0, tasks)
+    generate_dataset(cfg.out, args.episodes_per_task, args.policy, cfg.seed, tasks)
     print(f"wrote {args.episodes_per_task} episodes/task for {len(tasks)} tasks "
-          f"to {args.out}")
+          f"to {cfg.out}")
     return EXIT_OK
 
 
 def _cmd_train(args, command: str) -> int:
-    cfg = _resolved_run_config(args)
-    if command == "distill":
-        if not cfg.teacher:
-            raise UsageError("distillation requires --teacher")
-        if not Path(cfg.teacher).exists():
-            raise UsageError(f"teacher checkpoint {cfg.teacher} does not exist")
+    cfg = _training_config(args)
     report = run_training(cfg, command=command)
     score = report["normalized_score"]
     shown = f"{score:.2f}" if score is not None else "n/a"
@@ -226,7 +194,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolved_run_config(args)
+    cfg = _training_config(args)
     d_raw = args.grid_d_coef
     if d_raw == "reference":
         d_axis = list(DEFAULT_D_COEF_GRID)
@@ -238,8 +206,6 @@ def _cmd_sweep(args) -> int:
         steps_list=_parse_grid_axis(args.grid_steps, int),
         teachers=_parse_grid_axis(args.grid_teacher, str),
     )
-    if grid.is_empty():
-        raise UsageError("sweep grid is empty: give at least one --grid-* axis")
     report = run_sweep(cfg, grid, cfg.out)
     ok = sum(1 for c in report["cells"] if c["status"] == "ok")
     print(f"sweep: {ok}/{len(report['cells'])} cells ok, "
@@ -259,9 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_eval(args)
         if args.command == "quantize":
             return _cmd_quantize(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _cmd_sweep(args)
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -256,6 +256,8 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
     """
     if num_episodes < 1:
         raise UsageError(f"episodes per task must be >= 1, got {num_episodes}")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     trained = None
     if policy.startswith("trained:"):
         # Imported lazily: generation from a trained agent pulls in the planner.

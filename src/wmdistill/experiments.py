@@ -24,7 +24,7 @@ import json
 import operator
 import time
 import traceback
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,7 +35,7 @@ from .autodiff import Adam
 from .checkpoint import (Checkpoint, CheckpointFormatError, file_hash,
                          read_checkpoint, text_lines, write_atomic,
                          write_checkpoint)
-from .dataset import load_dataset, sample_batch
+from .dataset import Dataset, load_dataset, sample_batch
 from .distill import (MODES, DistillConfig, FrozenTeacher, LatentProjection,
                       distill_train_step, fit_pca_projection)
 from .envs import MultiTaskSuite, UsageError
@@ -53,81 +53,97 @@ class ResumeMismatchError(UsageError):
     the run's last step."""
 
 
-# RunConfig field / CLI dest -> PlannerConfig field
+# RunConfig field -> PlannerConfig field
 _PLAN_FIELDS = (("plan_horizon", "horizon"), ("plan_samples", "num_samples"),
                 ("plan_elites", "num_elites"), ("plan_iterations", "iterations"),
                 ("plan_temperature", "temperature"))
 
 
-def planner_config(values) -> PlannerConfig:
-    """PlannerConfig from the plan_* attributes of `values` (a RunConfig or
-    parsed CLI flags); an attribute that is None keeps PlannerConfig's
-    default. A value out of range raises UsageError naming its flag."""
-    chosen = {field: getattr(values, name) for name, field in _PLAN_FIELDS}
+def planner_config(cfg: RunConfig) -> PlannerConfig:
+    """PlannerConfig from the plan_* settings of `cfg`. A value out of range
+    raises UsageError naming its flag."""
     try:
-        return PlannerConfig(**{k: v for k, v in chosen.items() if v is not None})
+        return PlannerConfig(**{attr: getattr(cfg, name) for name, attr in _PLAN_FIELDS})
     except UsageError as exc:
         message = str(exc)
-        for name, field in _PLAN_FIELDS:
-            message = message.replace(field, _flag(name))
+        for name, attr in _PLAN_FIELDS:
+            message = message.replace(attr, cli_flag(name))
         raise UsageError(message) from None
 
 
-def _flag(name: str) -> str:
+def cli_flag(name: str) -> str:
+    """The command-line flag of the RunConfig setting `name`."""
     return "--" + name.replace("_", "-")
 
 
 # (RunConfig field, comparison, bound) for every bounded field;
 # PlannerConfig checks the plan_* ones
-_BOUNDS = (("steps", ">=", 0), ("batch_size", ">=", 1), ("log_interval", ">=", 1),
-           ("eval_episodes", ">=", 0), ("eval_every", ">=", -1), ("horizon", ">=", 1),
-           ("rho", ">", 0), ("rho", "<=", 1), ("alpha_consistency", ">=", 0),
-           ("alpha_reward", ">=", 0), ("alpha_value", ">=", 0), ("d_coef", ">=", 0),
-           ("latent_coef", ">=", 0), ("lr", ">", 0), ("gamma", ">=", 0),
-           ("gamma", "<=", 1), ("tau", ">=", 0), ("tau", "<=", 1))
+_BOUNDS = (("seed", ">=", 0), ("steps", ">=", 0), ("batch_size", ">=", 1),
+           ("log_interval", ">=", 1), ("eval_episodes", ">=", 0), ("eval_every", ">=", -1),
+           ("horizon", ">=", 1), ("rho", ">", 0), ("rho", "<=", 1),
+           ("alpha_consistency", ">=", 0), ("alpha_reward", ">=", 0),
+           ("alpha_value", ">=", 0), ("d_coef", ">=", 0), ("latent_coef", ">=", 0),
+           ("lr", ">", 0), ("gamma", ">=", 0), ("gamma", "<=", 1), ("tau", ">=", 0),
+           ("tau", "<=", 1))
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+# a RunConfig field's annotation -> the type its flag and config value parse as
+SETTING_TYPES = {"int": int, "float": float, "str": str}
+
+# the settings that only distill and sweep offer
+DISTILL_SETTINGS = ("teacher", "d_coef", "mode", "latent_coef")
+# the settings eval and quantize score a stored checkpoint with
+SCORING_SETTINGS = ("out", "seed", "gamma", *(name for name, _ in _PLAN_FIELDS))
+
+
+def _setting(default, help_text: str):
+    """A RunConfig field: its default and its flag's help."""
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass
 class RunConfig:
-    dataset: str = ""
-    out: str = ""
-    seed: int = 0
-    steps: int = 1000
-    batch_size: int = 256
-    preset: str = "student"
-    activation: str = "mish"
-    lr: float = 3e-4
-    gamma: float = 0.99
-    tau: float = 0.01
-    alpha_consistency: float = 1.0
-    alpha_reward: float = 1.0
-    alpha_value: float = 0.5
-    rho: float = 0.5
-    horizon: int = 3
-    d_coef: float = 0.0
-    mode: str = "reward_only"
-    latent_coef: float = 1.0
-    teacher: str = ""
-    log_interval: int = 50
-    eval_every: int = -1          # -1: every 10% of steps; 0: disabled
-    eval_episodes: int = 10
-    plan_horizon: int = PlannerConfig.horizon
-    plan_samples: int = PlannerConfig.num_samples
-    plan_elites: int = PlannerConfig.num_elites
-    plan_iterations: int = PlannerConfig.iterations
-    plan_temperature: float = PlannerConfig.temperature
-    resume: str = ""
+    """Every run setting, declared once: each field is a flag and a config key."""
+
+    dataset: str = _setting("", "dataset directory")
+    out: str = _setting("", "output directory")
+    seed: int = _setting(0, "master seed")
+    steps: int = _setting(1000, "training steps")
+    batch_size: int = _setting(256, "batch size")
+    preset: str = _setting("student", "model size preset (teacher-L, teacher-S, student)")
+    activation: str = _setting("mish", "mish or tanh")
+    lr: float = _setting(3e-4, "Adam learning rate")
+    gamma: float = _setting(0.99, "TD discount")
+    tau: float = _setting(0.01, "target-head soft-update rate")
+    alpha_consistency: float = _setting(1.0, "consistency loss weight")
+    alpha_reward: float = _setting(1.0, "reward loss weight")
+    alpha_value: float = _setting(0.5, "value loss weight")
+    rho: float = _setting(0.5, "per-horizon-step decay")
+    horizon: int = _setting(3, "training window length")
+    d_coef: float = _setting(0.0, "distillation loss coefficient")
+    mode: str = _setting("reward_only", "reward_only, latent_linear or latent_pca")
+    latent_coef: float = _setting(1.0, "latent term weight inside the distill term")
+    teacher: str = _setting("", "frozen teacher checkpoint")
+    log_interval: int = _setting(50, "steps between loss rows")
+    eval_every: int = _setting(-1, "steps between periodic evals (0 disables, -1 auto)")
+    eval_episodes: int = _setting(10, "episodes per task per eval")
+    plan_horizon: int = _setting(PlannerConfig.horizon, "planner horizon")
+    plan_samples: int = _setting(PlannerConfig.num_samples, "planner candidates")
+    plan_elites: int = _setting(PlannerConfig.num_elites, "planner elites")
+    plan_iterations: int = _setting(PlannerConfig.iterations, "planner iterations")
+    plan_temperature: float = _setting(PlannerConfig.temperature,
+                                       "planner softmax temperature")
+    resume: str = _setting("", "trainstate checkpoint to resume from")
 
     def __post_init__(self) -> None:
         for name, op, bound in _BOUNDS:
             if not _COMPARE[op](getattr(self, name), bound):
-                raise UsageError(f"{_flag(name)} must be {op} {bound}, "
+                raise UsageError(f"{cli_flag(name)} must be {op} {bound}, "
                                  f"got {getattr(self, name)}")
         for name, known in (("preset", PRESETS), ("activation", ACTIVATIONS),
                             ("mode", MODES)):
             if getattr(self, name) not in known:
-                raise UsageError(f"{_flag(name)} must be one of {', '.join(known)}, "
+                raise UsageError(f"{cli_flag(name)} must be one of {', '.join(known)}, "
                                  f"got {getattr(self, name)!r}")
         planner_config(self)
 
@@ -146,14 +162,15 @@ def write_config(path, cfg: RunConfig, command: str) -> None:
     write_atomic(path, [text_lines(lines)])
 
 
-def read_config(path) -> Tuple[Dict[str, str], Optional[str]]:
-    """Parse a key=value config file; returns (values, command-if-present).
+def read_config(path) -> Tuple[Dict[str, object], Optional[str]]:
+    """Parse a key=value config file; returns (values, command-if-present),
+    each value of its RunConfig field's type.
 
     A line without `=`, a key that is not a RunConfig field or a value that
     does not parse as the field's type raises UsageError naming the file,
     the line and the key.
     """
-    values: Dict[str, str] = {}
+    values: Dict[str, object] = {}
     command = None
     types = {f.name: f.type for f in fields(RunConfig)}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -171,28 +188,11 @@ def read_config(path) -> Tuple[Dict[str, str], Optional[str]]:
         if key not in types:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            _convert(types[key], value)
+            values[key] = SETTING_TYPES[types[key]](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: config key {key!r} expects "
                              f"type {types[key]}, got {value!r}") from None
-        values[key] = value
     return values, command
-
-
-def _convert(type_name, raw: str):
-    if type_name in (int, "int"):
-        return int(raw)
-    if type_name in (float, "float"):
-        return float(raw)
-    return raw
-
-
-def config_from_values(values: Dict[str, str]) -> RunConfig:
-    kwargs = {}
-    for f in fields(RunConfig):
-        if f.name in values:
-            kwargs[f.name] = _convert(f.type, values[f.name])
-    return RunConfig(**kwargs)
 
 
 # the RunConfig fields a trained checkpoint's metadata records
@@ -283,19 +283,26 @@ def _metrics_rows(step: int, result: EvalResult) -> List[str]:
     return rows
 
 
-def run_training(cfg: RunConfig, command: str = "train") -> dict:
-    """Shared from-scratch / distillation training loop."""
-    t0 = time.perf_counter()
+def _training_dataset(cfg: RunConfig) -> Dataset:
+    """The run's dataset, once its shortest episode is known to hold a
+    training window of `cfg.horizon` steps."""
     dataset = load_dataset(cfg.dataset)
     shortest = min(r.length for r in dataset.records)
     if cfg.horizon > shortest:
         raise UsageError(f"--horizon {cfg.horizon} is longer than the shortest "
                          f"episode of {cfg.dataset} ({shortest} steps)")
+    return dataset
+
+
+def run_training(cfg: RunConfig, command: str = "train") -> dict:
+    """Shared from-scratch / distillation training loop."""
+    t0 = time.perf_counter()
+    dataset = _training_dataset(cfg)
     tasks = list(dataset.tasks)
     teacher: Optional[FrozenTeacher] = None
     if command == "distill":
         if not cfg.teacher:
-            raise FileNotFoundError("distillation requires a teacher checkpoint")
+            raise UsageError("distillation requires --teacher")
         teacher = FrozenTeacher.load(cfg.teacher)
     trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
     out = Path(cfg.out)
@@ -486,7 +493,7 @@ DEFAULT_D_COEF_GRID = (0.05, 0.25, 0.4, 0.55, 0.6, 0.9)
 def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     """One training run per grid cell; aggregated CSV sorted by score."""
     if grid.is_empty():
-        raise ValueError("sweep grid is empty: give at least one axis")
+        raise UsageError("sweep grid is empty: give at least one --grid-* axis")
     t0 = time.perf_counter()
     out = Path(out)
 
@@ -508,6 +515,7 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     cells = [replace(base, d_coef=d, batch_size=b, steps=s, teacher=t, resume="",
                      out=str(out / f"cell{i:03d}_d{d}_b{b}_s{s}_{labels[t]}"))
              for i, (d, b, s, t) in enumerate(product(d_axis, b_axis, s_axis, t_axis))]
+    _training_dataset(base)  # no cell varies the dataset or the horizon
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for cfg in cells:

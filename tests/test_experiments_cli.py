@@ -2,20 +2,22 @@
 sweep table, exit codes, score aggregation."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from wmdistill.checkpoint import file_hash, read_checkpoint, write_checkpoint
-from wmdistill.cli import EXIT_OK, EXIT_USAGE, main
+from wmdistill.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from wmdistill.dataset import generate_dataset, load_dataset
-from wmdistill.envs import MultiTaskSuite, TASKS
+from wmdistill.envs import MultiTaskSuite, TASKS, UsageError
 from wmdistill.evaluate import evaluate_model, normalized_score
 import wmdistill.checkpoint as checkpoint_module
 import wmdistill.experiments as experiments_module
-from wmdistill.experiments import (ResumeMismatchError, RunConfig, SweepGrid,
-                                   planner_config, read_config, run_eval,
-                                   run_quantize, run_sweep, run_training)
+from wmdistill.experiments import (DISTILL_SETTINGS, ResumeMismatchError,
+                                   RunConfig, SweepGrid, cli_flag, planner_config,
+                                   read_config, run_eval, run_quantize, run_sweep,
+                                   run_training, write_config)
 from wmdistill.planner import PlannerConfig
 from wmdistill.world_model import WorldModel, model_from_checkpoint
 
@@ -449,6 +451,147 @@ def test_config_file_bad_line_is_usage_error(data_dir, tmp_path, capsys, line,
     err = capsys.readouterr().err
     assert f"{config}:3:" in err and named in err
     assert not (tmp_path / "run" / "model.tdck").exists()
+
+
+# every run setting at a value other than its default
+NON_DEFAULT = dict(dataset="data", out="run", seed=3, steps=7, batch_size=5,
+                   preset="teacher-S", activation="tanh", lr=0.1, gamma=0.9, tau=3e-4,
+                   alpha_consistency=0.1, alpha_reward=2.5, alpha_value=0.3, rho=0.7,
+                   horizon=4, d_coef=0.4, mode="latent_pca", latent_coef=0.1,
+                   teacher="teacher.tdck", log_interval=2, eval_every=3,
+                   eval_episodes=1, plan_horizon=2, plan_samples=16, plan_elites=4,
+                   plan_iterations=3, plan_temperature=0.3, resume="trainstate.tdck")
+
+
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
+    cfg = RunConfig(**NON_DEFAULT)
+    assert [f.name for f in fields(RunConfig)] == list(NON_DEFAULT)
+    assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
+    write_config(tmp_path / "config.txt", cfg, "distill")
+    values, command = read_config(tmp_path / "config.txt")
+    assert command == "distill" and RunConfig(**values) == cfg
+    parser = build_parser()
+    for command in ("train", "distill", "sweep"):
+        names = [n for n in NON_DEFAULT if command != "train" or n not in DISTILL_SETTINGS]
+        args = parser.parse_args([command, *(arg for n in names
+                                             for arg in (cli_flag(n), str(values[n])))])
+        assert {n: getattr(args, n) for n in names} == {n: NON_DEFAULT[n] for n in names}
+    for name in DISTILL_SETTINGS:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["train", cli_flag(name), str(NON_DEFAULT[name])])
+        assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "distill", "eval",
+                                     "quantize", "sweep"])
+def test_subcommand_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--seed" in capsys.readouterr().out
+
+
+def _scoring_argv(command, checkpoint):
+    return [command, "--checkpoint", str(checkpoint), "--episodes", "1",
+            *(arg for key, value in TINY_PLAN.items() for arg in (cli_flag(key), str(value)))]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval", "quantize"])
+def test_config_flag_only_where_it_is_read(teacher_ckpt, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = ["gen-data", "--episodes-per-task", "1", "--tasks", "pendulum-swingup"]
+    else:
+        argv = _scoring_argv(command, teacher_ckpt)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--config", str(tmp_path / "missing.txt")])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (command, flag, value, what the error says after the flag): a negative seed
+# and eval's and quantize's discount are checked by RunConfig's bounds
+@pytest.mark.parametrize("command, flag, value, said", [
+    ("gen-data", "--seed", "-1", "must be >= 0, got -1"),
+    ("train", "--seed", "-1", "must be >= 0, got -1"),
+    ("distill", "--seed", "-1", "must be >= 0, got -1"),
+    ("sweep", "--seed", "-1", "must be >= 0, got -1"),
+    ("eval", "--seed", "-1", "must be >= 0, got -1"),
+    ("quantize", "--seed", "-1", "must be >= 0, got -1"),
+    ("eval", "--gamma", "5", "must be <= 1, got 5.0"),
+    ("quantize", "--gamma", "-1", "must be >= 0, got -1.0")])
+def test_bad_seed_or_scoring_discount_is_usage_error(data_dir, teacher_ckpt, tmp_path,
+                                                     capsys, command, flag, value, said):
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = ["gen-data", "--episodes-per-task", "1", "--tasks", "pendulum-swingup"]
+    elif command in ("eval", "quantize"):
+        argv = _scoring_argv(command, teacher_ckpt)
+    else:
+        argv = [command, "--dataset", str(data_dir), "--steps", "2", "--batch-size", "4",
+                "--eval-episodes", "0"]
+        argv += {"distill": ["--teacher", str(teacher_ckpt)],
+                 "sweep": ["--grid-d-coef", "0"]}.get(command, [])
+    assert main(argv + ["--out", str(out), flag, value]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} {said}")
+    assert not out.exists()
+
+
+def test_generate_dataset_rejects_negative_seed(tmp_path):
+    with pytest.raises(UsageError, match="--seed must be >= 0, got -2"):
+        generate_dataset(tmp_path / "data", 1, "random", -2, ("pendulum-swingup",))
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("line", ["d_coef=0.5", "mode=latent_pca", "latent_coef=2",
+                                  "teacher=teacher.tdck"])
+def test_train_refuses_distillation_settings(data_dir, tmp_path, capsys, line):
+    config = tmp_path / "run.txt"
+    config.write_text(f"{line}\n", encoding="utf-8")
+    rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
+               "--out", str(tmp_path / "run"), "--steps", "0", "--eval-episodes", "0"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(line.split("=")[0]) in err
+    assert "use distill" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_distill_runs_config(data_dir, tmp_path, capsys):
+    config = tmp_path / "run.txt"
+    config.write_text("command=distill\nd_coef=0.5\n", encoding="utf-8")
+    rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
+               "--out", str(tmp_path / "run"), "--steps", "0", "--eval-episodes", "0"])
+    assert rc == EXIT_USAGE
+    assert "'d_coef'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_cell_without_teacher_replays_from_its_config(data_dir, tmp_path):
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(tmp_path / "sweep"),
+               "--seed", "54", "--steps", "5", "--batch-size", "8",
+               "--log-interval", "5", "--eval-every", "0", "--eval-episodes", "0",
+               "--preset", "student", "--grid-d-coef", "0.4"])
+    assert rc == EXIT_OK
+    [cell] = json.loads((tmp_path / "sweep" / "report.json").read_text())["cells"]
+    values, command = read_config(Path(cell["out_dir"]) / "config.txt")
+    assert (command, values["d_coef"]) == ("train", 0.4)
+    rc = main(["train", "--config", str(Path(cell["out_dir"]) / "config.txt"),
+               "--out", str(tmp_path / "replay")])
+    assert rc == EXIT_OK
+    assert (tmp_path / "replay" / "model.tdck").read_bytes() \
+        == (Path(cell["out_dir"]) / "model.tdck").read_bytes()
+
+
+def test_sweep_checks_horizon_before_any_cell(data_dir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "1",
+               "--eval-episodes", "0", "--horizon", "500", "--grid-d-coef", "0,0.4"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: --horizon 500 is longer than the shortest episode")
+    assert not out.exists()
 
 
 def test_config_value_of_wrong_type_is_usage_error(data_dir, tmp_path, capsys):

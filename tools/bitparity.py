@@ -6,7 +6,8 @@ For each checkout, in a fresh interpreter with OPENBLAS_NUM_THREADS=1 and
 the package imported from that checkout's src/, it runs at a fixed seed:
 
     gen-data   mixture policy, 40 episodes per task
-    train      teacher-L, batch 16 (or B)
+    train      teacher-L, batch 16 (or B), then once more from that run's
+               config.txt alone (config-replay)
     distill    student, batch 32 (or B), against that teacher, in the
                reward_only, latent_linear and latent_pca modes, the
                latent_linear run once more, resumed from a 30-step
@@ -20,7 +21,8 @@ and compares the dataset's bytes and its content, the model.tdck and
 trainstate.tdck hashes and the config.txt, losses.csv and metrics.csv bytes
 of every training run (the resumed one included), the f16 checkpoint hash
 and quant_report.csv, the f16 task scores, the teacher's score and both
-evals' metrics.csv. The dataset's content is hashed by the checkout's own
+evals' metrics.csv. Within each checkout the config-replay model must
+also equal the teacher's, byte for byte. The dataset's content is hashed by the checkout's own
 load_dataset: the packed obs, actions and rewards bytes plus each episode's
 task, policy, seed and length, so a change of container is checked on what
 it holds. It prints one line per item and, last, one JSON object
@@ -106,6 +108,8 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     cli("train", "--dataset", "data", "--out", "teacher", "--preset", "teacher-L",
         "--steps", "60", "--batch-size", str(batch or 16), "--seed", s, *TRAIN_FLAGS)
     values.update(training("teacher"))
+    cli("train", "--config", "teacher/config.txt", "--out", "replay")
+    values["config-replay.model"] = _sha256(work / "replay" / "model.tdck")
 
     def distill(mode: str, out: str, steps: str, *extra: str) -> None:
         cli("distill", "--dataset", "data", "--out", out,
@@ -170,6 +174,11 @@ def main(argv=None) -> int:
         same &= a == b
         print(f"{key:32s} {'same     ' if a == b else 'DIFFERENT'} {a}"
               + ("" if a == b else f" -> {b}"))
+    for side, values in sides.items():
+        replayed = values["config-replay.model"] == values["teacher.model"]
+        same &= replayed
+        print(f"{side + ' config-replay':32s} {'same     ' if replayed else 'DIFFERENT'} "
+              "model.tdck against teacher.model")
     print(json.dumps({"seed": args.seed, "batch_size": args.batch_size,
                       "identical": same, **sides}, sort_keys=True))
     return 0 if same else 1
