@@ -95,7 +95,6 @@ class TransitionBatch:
     obs: np.ndarray       # (B, H+1, obs_dim)
     actions: np.ndarray   # (B, H, act_dim)
     rewards: np.ndarray   # (B, H)
-    task_ids: List[str]
 
 
 @dataclass
@@ -213,7 +212,6 @@ class _WindowTable:
     total: int
     obs_shift: np.ndarray
     act_shift: np.ndarray
-    task_ids: np.ndarray     # per episode, dtype object
 
 
 def _window_table(dataset: Dataset, horizon: int) -> _WindowTable:
@@ -226,8 +224,7 @@ def _window_table(dataset: Dataset, horizon: int) -> _WindowTable:
     first = cum - valid                          # first window index per episode
     act_off = np.cumsum(lengths) - lengths       # first action row per episode
     obs_off = act_off + np.arange(len(records))  # one more obs row per episode
-    return _WindowTable(cum, int(cum[-1]), obs_off - first, act_off - first,
-                        np.array([r.task_id for r in records], dtype=object))
+    return _WindowTable(cum, int(cum[-1]), obs_off - first, act_off - first)
 
 
 def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
@@ -242,7 +239,23 @@ def sample_batch(dataset: Dataset, batch_size: int, horizon: int,
     obs_rows = (flat + table.obs_shift[ep_idx])[:, None] + steps
     act_rows = (flat + table.act_shift[ep_idx])[:, None] + steps[:horizon]
     return TransitionBatch(dataset.obs[obs_rows], dataset.actions[act_rows],
-                           dataset.rewards[act_rows], table.task_ids[ep_idx].tolist())
+                           dataset.rewards[act_rows])
+
+
+def check_layout(path, metadata: Dict[str, str], tasks: Sequence[str],
+                 obs_dim: int, act_dim: int) -> None:
+    """Raise UsageError unless the checkpoint at `path`, whose metadata is
+    `metadata`, reads the observation and action layout of `tasks`: its task
+    list, when recorded, is `tasks` in order, and its obs_dim and act_dim
+    are these."""
+    known = metadata.get("tasks", "")
+    if known and known.split(",") != list(tasks):
+        raise UsageError(f"tasks {','.join(tasks)} are not the checkpoint's "
+                         f"{known}: {path} reads that task layout")
+    dims = (metadata.get("obs_dim"), metadata.get("act_dim"))
+    if dims != (str(obs_dim), str(act_dim)):
+        raise UsageError(f"{path} reads obs/act dims ({dims[0]}, {dims[1]}), "
+                         f"tasks {','.join(tasks)} give ({obs_dim}, {act_dim})")
 
 
 def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
@@ -251,30 +264,28 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
 
     policy is one of "random", "scripted" (alias "scripted-energy-swingup"),
     "mixture" (even episodes random, odd scripted), or "trained:<checkpoint>".
-    A trained checkpoint that records its tasks must be given them, in order.
+    A trained checkpoint must read the layout of `tasks` (`check_layout`).
     Bad input raises UsageError before any file is written.
     """
     if num_episodes < 1:
         raise UsageError(f"episodes per task must be >= 1, got {num_episodes}")
     if seed < 0:
         raise UsageError(f"--seed must be >= 0, got {seed}")
+    suite = MultiTaskSuite(tuple(tasks))
     trained = None
     if policy.startswith("trained:"):
         # Imported lazily: generation from a trained agent pulls in the planner.
         from .planner import PlannerConfig, rollout_episode
         from .world_model import model_from_checkpoint
-        ckpt = read_checkpoint(policy.split(":", 1)[1])
-        known = ckpt.metadata.get("tasks", "")
-        if known and known.split(",") != list(tasks):
-            raise UsageError(f"tasks {','.join(tasks)} are not the checkpoint's "
-                             f"{known}: it plans with that task layout")
+        path = policy.split(":", 1)[1]
+        ckpt = read_checkpoint(path)
+        check_layout(path, ckpt.metadata, suite.tasks, suite.obs_dim, suite.act_dim)
         trained = model_from_checkpoint(ckpt)
     elif policy == "scripted-energy-swingup":
         policy = "scripted"
     elif policy not in ("random", "scripted", "mixture"):
         raise UsageError(f"unknown behavior policy spec {policy!r}; known: random, "
                          "scripted, mixture, trained:<checkpoint>")
-    suite = MultiTaskSuite(tuple(tasks))
 
     episodes: List[Episode] = []
     records: List[EpisodeRecord] = []

@@ -8,12 +8,14 @@ training objective becomes
 
     total = original_composite_loss + d_coef * distill_term
 
-with the teacher's outputs held constant. When a latent mode is active the
-distill term additionally carries latent_coef * MSE between the teacher's
-(projected) next-latent predictions and the student's:
+with the teacher's outputs held constant. The mode is carried by the
+projection a run builds from it. Given one, the distill term additionally
+carries latent_coef * MSE between the teacher's (projected) next-latent
+predictions and the student's:
 
-    latent_linear  projection is a trainable student-side matrix
-    latent_pca     projection is fitted once (the top eigenvectors of the
+    reward_only    no projection: the reward term alone
+    latent_linear  LatentProjection, a trainable student-side matrix
+    latent_pca     PcaProjection, fitted once (the top eigenvectors of the
                    covariance of sampled teacher latents) and frozen
 
 d_coef = 0 short-circuits every distillation branch, making the update
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
@@ -33,20 +35,16 @@ from .autodiff import Tensor
 from .checkpoint import Checkpoint, content_hash, read_checkpoint
 from .dataset import Dataset
 from .seeding import stream
-from .world_model import (LossBreakdown, LossCoeffs, TrainHyper, WorldModel,
-                          model_from_checkpoint, stack_steps, train_step)
+from .world_model import (LossBreakdown, WorldModel, model_from_checkpoint,
+                          stack_steps, train_step)
 # unused here: kept only so that perfbench/tracing.py's patch list, which
 # also patches these names in this module, still resolves
 from .world_model import original_loss, policy_objective  # noqa: F401
 
+if TYPE_CHECKING:
+    from .experiments import RunConfig
+
 MODES = ("reward_only", "latent_linear", "latent_pca")
-
-
-@dataclass
-class DistillConfig:
-    d_coef: float = 0.4
-    mode: str = "reward_only"
-    latent_coef: float = 1.0
 
 
 class FrozenTeacher:
@@ -62,7 +60,7 @@ class FrozenTeacher:
         for _, p in model.named_parameters():
             p.requires_grad = False
         self.model = model
-        self._metadata = dict(ckpt.metadata)
+        self.metadata = dict(ckpt.metadata)
         self.fingerprint = content_hash(ckpt)
 
     @classmethod
@@ -71,14 +69,7 @@ class FrozenTeacher:
         return cls(model_from_checkpoint(ckpt), ckpt)
 
     def refingerprint(self) -> str:
-        return content_hash(self.model.to_checkpoint(self._metadata))
-
-
-def _check_compatible(teacher: WorldModel, student: WorldModel) -> None:
-    if teacher.obs_dim != student.obs_dim or teacher.act_dim != student.act_dim:
-        raise ad.ShapeError(
-            f"teacher consumes obs/act dims ({teacher.obs_dim}, {teacher.act_dim}), "
-            f"student ({student.obs_dim}, {student.act_dim})")
+        return content_hash(self.model.to_checkpoint(self.metadata))
 
 
 class LatentProjection:
@@ -195,7 +186,6 @@ def reward_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
     the student (its encoder and reward head). Every step has B rows, so
     one MSE over all H*B rows is the mean of the H per-step MSEs.
     """
-    _check_compatible(teacher.model, student)
     actions = stack_steps(batch.actions)
     if z_teacher is None:
         z_teacher = teacher_latents(teacher, batch)
@@ -207,18 +197,14 @@ def reward_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
 
 
 def latent_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
-                        mode: str,
-                        projection: Union[LatentProjection, PcaProjection, None],
+                        projection: Union[LatentProjection, PcaProjection],
                         z_student: Optional[Tensor] = None,
                         z_teacher: Optional[np.ndarray] = None) -> Tensor:
     """MSE between projected teacher next-latent predictions and the
-    student's next-latent predictions, averaged over batch and steps.
-    `z_student` and `z_teacher` are as in `reward_distill_loss`."""
-    if mode not in ("latent_linear", "latent_pca"):
-        raise ValueError(f"latent distillation requires a latent mode, got {mode!r}")
-    if projection is None:
-        raise ValueError(f"mode {mode!r} requires a fitted projection")
-    _check_compatible(teacher.model, student)
+    student's next-latent predictions, averaged over batch and steps. The
+    projection's type is the latent mode: a PcaProjection is latent_pca, a
+    LatentProjection latent_linear. `z_student` and `z_teacher` are as in
+    `reward_distill_loss`."""
     actions = stack_steps(batch.actions)
     if z_teacher is None:
         z_teacher = teacher_latents(teacher, batch)
@@ -242,25 +228,24 @@ def latent_distill_loss(teacher: FrozenTeacher, student: WorldModel, batch,
 
 
 def distill_train_step(teacher: FrozenTeacher, student: WorldModel, batch,
-                       coeffs: LossCoeffs, dcfg: DistillConfig,
-                       hyper: TrainHyper, opt_main: ad.Adam,
-                       opt_policy: ad.Adam,
-                       projection: Union[LatentProjection, PcaProjection, None] = None,
-                       step: int = 0) -> LossBreakdown:
+                       cfg: RunConfig, opt_main: ad.Adam, opt_policy: ad.Adam,
+                       projection: Union[LatentProjection, PcaProjection, None] = None
+                       ) -> LossBreakdown:
     """One distillation update: train_step with the distillation term. With
     d_coef = 0 that term is never built, so the update is train_step's.
 
-    The term reuses train_step's graph encode of obs_0, and its losses share
-    one student and one teacher encode of the batch."""
+    The latent term joins the reward term, weighted by cfg.latent_coef, if
+    and only if a `projection` is given. The term reuses train_step's graph
+    encode of obs_0, and its losses share one student and one teacher encode
+    of the batch."""
     def distill_term(z0: Tensor) -> Tensor:
         z_s = student_latents(student, batch, z0)
         z_t = teacher_latents(teacher, batch)
         term = reward_distill_loss(teacher, student, batch, z_s, z_t)
-        if dcfg.mode in ("latent_linear", "latent_pca"):
+        if projection is not None:
             latent_term = latent_distill_loss(teacher, student, batch,
-                                              dcfg.mode, projection, z_s, z_t)
-            term = ad.add(term, ad.scale(latent_term, dcfg.latent_coef))
+                                              projection, z_s, z_t)
+            term = ad.add(term, ad.scale(latent_term, cfg.latent_coef))
         return term
 
-    return train_step(student, batch, coeffs, hyper, opt_main, opt_policy,
-                      step, distill=distill_term, d_coef=dcfg.d_coef)
+    return train_step(student, batch, cfg, opt_main, opt_policy, distill=distill_term)

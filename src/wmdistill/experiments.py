@@ -32,20 +32,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Adam
-from .checkpoint import (Checkpoint, CheckpointFormatError, file_hash,
-                         read_checkpoint, text_lines, write_atomic,
-                         write_checkpoint)
-from .dataset import Dataset, load_dataset, sample_batch
-from .distill import (MODES, DistillConfig, FrozenTeacher, LatentProjection,
-                      distill_train_step, fit_pca_projection)
+from .checkpoint import (Checkpoint, file_hash, read_checkpoint, text_lines,
+                         write_atomic, write_checkpoint)
+from .dataset import Dataset, check_layout, load_dataset, sample_batch
+from .distill import (MODES, FrozenTeacher, LatentProjection, distill_train_step,
+                      fit_pca_projection)
 from .envs import MultiTaskSuite, UsageError
 from .evaluate import EvalResult, evaluate_model, normalized_score
 from .planner import PlannerConfig
 from .quantize import to_fp16
 from .seeding import stream
-from .world_model import (ACTIVATIONS, PRESETS, LossCoeffs, TrainHyper,
-                          WorldModel, load_param, make_optimizers,
-                          model_from_checkpoint, train_step)
+from .world_model import (ACTIVATIONS, PRESETS, WorldModel, load_param,
+                          make_optimizers, model_from_checkpoint, train_step)
 
 
 class ResumeMismatchError(UsageError):
@@ -147,13 +145,6 @@ class RunConfig:
                                  f"got {getattr(self, name)!r}")
         planner_config(self)
 
-    def coeffs(self) -> LossCoeffs:
-        return LossCoeffs(self.alpha_consistency, self.alpha_reward,
-                          self.alpha_value, self.rho, self.horizon)
-
-    def hyper(self) -> TrainHyper:
-        return TrainHyper(self.lr, self.gamma, self.tau)
-
 
 def write_config(path, cfg: RunConfig, command: str) -> None:
     lines = [f"command={command}"]
@@ -195,7 +186,8 @@ def read_config(path) -> Tuple[Dict[str, object], Optional[str]]:
     return values, command
 
 
-# the RunConfig fields a trained checkpoint's metadata records
+# the RunConfig fields a trained checkpoint's metadata records; they hold
+# every setting the update step reads
 _TRAIN_KEYS = ("seed", "steps", "batch_size", "lr", "gamma", "tau",
                "alpha_consistency", "alpha_reward", "alpha_value", "rho",
                "horizon", "d_coef", "mode", "latent_coef")
@@ -304,21 +296,20 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
         if not cfg.teacher:
             raise UsageError("distillation requires --teacher")
         teacher = FrozenTeacher.load(cfg.teacher)
+        check_layout(cfg.teacher, teacher.metadata, tasks, dataset.obs_dim,
+                     dataset.act_dim)
     trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg, command)
 
     suite = MultiTaskSuite(tuple(tasks))
-    coeffs, hyper = cfg.coeffs(), cfg.hyper()
-
     model = WorldModel(dataset.obs_dim, dataset.act_dim, cfg.preset,
                        activation=cfg.activation, seed=cfg.seed)
 
+    # the projection carries the distill mode: none is reward_only
     projection = None
-    dcfg = None
     if teacher is not None:
-        dcfg = DistillConfig(cfg.d_coef, cfg.mode, cfg.latent_coef)
         if cfg.mode == "latent_linear":
             projection = LatentProjection(teacher.model.latent_dim,
                                           model.latent_dim,
@@ -328,7 +319,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
                                             model.latent_dim, seed=cfg.seed)
 
     extra = projection.params() if isinstance(projection, LatentProjection) else None
-    opts = make_optimizers(model, hyper, extra)
+    opts = make_optimizers(model, cfg.lr, extra)
     start_step = 0
     if trainstate is not None:
         start_step = _load_trainstate(trainstate, model, opts)
@@ -343,10 +334,9 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
         rng = stream(cfg.seed, "batch", step)
         batch = sample_batch(dataset, cfg.batch_size, cfg.horizon, rng)
         if teacher is not None:
-            bd = distill_train_step(teacher, model, batch, coeffs, dcfg, hyper,
-                                    *opts, projection, step=step)
+            bd = distill_train_step(teacher, model, batch, cfg, *opts, projection)
         else:
-            bd = train_step(model, batch, coeffs, hyper, *opts, step=step)
+            bd = train_step(model, batch, cfg, *opts)
         if (step + 1) % cfg.log_interval == 0:
             loss_rows.append(f"{step + 1},{bd.consistency:.8g},{bd.reward:.8g},"
                              f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
@@ -502,20 +492,18 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     s_axis = grid.steps_list or [base.steps]
     t_axis = grid.teachers or [base.teacher]
 
-    def teacher_label(path: str) -> str:
-        if not path:
-            return "none"
-        try:
-            return read_checkpoint(path).metadata.get("preset", Path(path).stem)
-        except (OSError, CheckpointFormatError):
-            return Path(path).stem
-
-    labels = {teacher: teacher_label(teacher) for teacher in t_axis}
+    dataset = _training_dataset(base)  # no cell varies the dataset or the horizon
+    # each teacher is read once, and must read the dataset's layout
+    labels = {"": "none"}
+    for path in dict.fromkeys(t_axis):
+        if path:
+            md = read_checkpoint(path).metadata
+            check_layout(path, md, dataset.tasks, dataset.obs_dim, dataset.act_dim)
+            labels[path] = md.get("preset", Path(path).stem)
     # every cell's config is built, and so checked, before the first cell runs
     cells = [replace(base, d_coef=d, batch_size=b, steps=s, teacher=t, resume="",
                      out=str(out / f"cell{i:03d}_d{d}_b{b}_s{s}_{labels[t]}"))
              for i, (d, b, s, t) in enumerate(product(d_axis, b_axis, s_axis, t_axis))]
-    _training_dataset(base)  # no cell varies the dataset or the horizon
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for cfg in cells:

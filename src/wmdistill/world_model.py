@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
 from .seeding import stream
+
+if TYPE_CHECKING:
+    from .experiments import RunConfig
 
 ACTIVATIONS: Dict[str, Tuple[Callable, Callable]] = {
     "mish": (ad.mish, ad.mish_np),
@@ -299,15 +302,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> WorldModel:
 
 
 @dataclass
-class LossCoeffs:
-    alpha_consistency: float = 1.0
-    alpha_reward: float = 1.0
-    alpha_value: float = 0.5
-    rho: float = 0.5
-    horizon: int = 3
-
-
-@dataclass
 class LossBreakdown:
     """Per-component record of one training step.
 
@@ -321,16 +315,15 @@ class LossBreakdown:
     value: float
     distill: float
     total: float
-    step: int = 0
 
     @staticmethod
     def combine(consistency: float, reward: float, value: float, distill: float,
-                coeffs: LossCoeffs, d_coef: float, step: int = 0) -> "LossBreakdown":
-        total = (coeffs.alpha_consistency * consistency
-                 + coeffs.alpha_reward * reward
-                 + coeffs.alpha_value * value
+                cfg: RunConfig, d_coef: float) -> "LossBreakdown":
+        total = (cfg.alpha_consistency * consistency
+                 + cfg.alpha_reward * reward
+                 + cfg.alpha_value * value
                  + d_coef * distill)
-        return LossBreakdown(consistency, reward, value, distill, total, step)
+        return LossBreakdown(consistency, reward, value, distill, total)
 
 
 def stack_steps(x: np.ndarray) -> np.ndarray:
@@ -348,8 +341,7 @@ def _weighted_sum(terms: List[Tuple[float, Tensor]]) -> Tensor:
     return acc
 
 
-def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0.99,
-                  z0: Optional[Tensor] = None
+def original_loss(model: WorldModel, batch, cfg: RunConfig, z0: Optional[Tensor] = None
                   ) -> Tuple[Tensor, LossBreakdown, List[np.ndarray]]:
     """Composite consistency/reward/value loss over an H-step window.
 
@@ -358,7 +350,7 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
     the detached rollout latents (for the separate policy step).
     """
     obs, actions, rewards = batch.obs, batch.actions, batch.rewards
-    h = coeffs.horizon
+    h = cfg.horizon
     if obs.ndim != 3 or obs.shape[1] < h + 1:
         raise ValueError(f"batch window holds {obs.shape[1] - 1} steps, "
                          f"horizon {h} requires at least {h}")
@@ -376,11 +368,11 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
     z_next = model.encode_np(stack_steps(obs[:, 1:h + 1]))
     q_next = model.target_value_np(z_next, model.policy_np(z_next))
     rew = stack_steps(rewards[:, :h, None])
-    td = rew + np.float32(gamma) * q_next[:, None]
+    td = rew + np.float32(cfg.gamma) * q_next[:, None]
 
     # every horizon sum sum_t rho^t * MSE_t is one row-weighted MSE over the
     # H*B step-major rows: mean_{rows} (H rho^t) * err^2 = sum_t rho^t MSE_t
-    rho_t = coeffs.rho ** np.arange(h + 1)
+    rho_t = cfg.rho ** np.arange(h + 1)
     consistency = ad.mse(ad.concat_rows(rollout[1:]), z_next,
                          np.repeat(h * rho_t[1:], b))
     za = ad.concat_cols(ad.concat_rows(rollout[:h]),
@@ -389,12 +381,12 @@ def original_loss(model: WorldModel, batch, coeffs: LossCoeffs, gamma: float = 0
     reward = ad.mse(model.reward(za), rew, head_weights)
     value = ad.mse(model.value(za), td, head_weights)
 
-    total = _weighted_sum([(coeffs.alpha_consistency, consistency),
-                           (coeffs.alpha_reward, reward),
-                           (coeffs.alpha_value, value)])
+    total = _weighted_sum([(cfg.alpha_consistency, consistency),
+                           (cfg.alpha_reward, reward),
+                           (cfg.alpha_value, value)])
 
     parts = LossBreakdown.combine(consistency.item(), reward.item(), value.item(),
-                                  0.0, coeffs, d_coef=0.0)
+                                  0.0, cfg, d_coef=0.0)
     for name, val in (("consistency", parts.consistency), ("reward", parts.reward),
                       ("value", parts.value)):
         if not np.isfinite(val):
@@ -419,39 +411,32 @@ def policy_objective(model: WorldModel, latents: List[np.ndarray],
     return ad.mean(ad.mul(q, Tensor(weights[:, None], _validate=False)))
 
 
-@dataclass
-class TrainHyper:
-    lr: float = 3e-4
-    gamma: float = 0.99
-    tau: float = 0.01
+def make_optimizers(model: WorldModel, lr: float,
+                    extra: Optional[List[Tensor]] = None) -> Tuple[ad.Adam, ad.Adam]:
+    """Adam over the main heads (plus `extra`) and Adam over the policy head."""
+    main = list(model.main_params()) + list(extra or [])
+    return ad.Adam(main, lr=lr), ad.Adam(model.policy_params(), lr=lr)
 
 
-def make_optimizers(model: WorldModel, hyper: TrainHyper,
-                    extra_main_params: Optional[List[Tensor]] = None
-                    ) -> Tuple[ad.Adam, ad.Adam]:
-    main = list(model.main_params()) + list(extra_main_params or [])
-    return ad.Adam(main, lr=hyper.lr), ad.Adam(model.policy_params(), lr=hyper.lr)
-
-
-def train_step(model: WorldModel, batch, coeffs: LossCoeffs, hyper: TrainHyper,
-               opt_main: ad.Adam, opt_policy: ad.Adam, step: int = 0,
-               distill: Optional[Callable[[Tensor], Tensor]] = None,
-               d_coef: float = 0.0) -> LossBreakdown:
+def train_step(model: WorldModel, batch, cfg: RunConfig,
+               opt_main: ad.Adam, opt_policy: ad.Adam,
+               distill: Optional[Callable[[Tensor], Tensor]] = None) -> LossBreakdown:
     """One update: composite loss step, then policy step, then target soft
     update. Deterministic given (weights, batch).
 
-    Every training run, from scratch or distilled, goes through here. With
-    d_coef > 0, `distill(z0)` builds the distillation term from the graph
-    encode z0 of obs_0 that the composite loss also uses; the term joins
-    the composite loss as d_coef * distill. Otherwise it is never called,
-    so a d_coef = 0 distillation step is a from-scratch step.
+    Every training run, from scratch or distilled, goes through here. Given
+    `distill` and cfg.d_coef > 0, `distill(z0)` builds the distillation term
+    from the graph encode z0 of obs_0 that the composite loss also uses; the
+    term joins the composite loss as d_coef * distill. Otherwise it is never
+    called, so a d_coef = 0 distillation step is a from-scratch step.
     """
+    d_coef = cfg.d_coef if distill is not None else 0.0
     opt_main.zero_grad()
     opt_policy.zero_grad()
     z0 = model.encode(Tensor(batch.obs[:, 0]))
-    total, parts, latents = original_loss(model, batch, coeffs, hyper.gamma, z0=z0)
+    total, parts, latents = original_loss(model, batch, cfg, z0=z0)
     distill_value = 0.0
-    if distill is not None and d_coef > 0.0:
+    if d_coef > 0.0:
         distill_term = distill(z0)
         distill_value = distill_term.item()
         total = ad.add(total, ad.scale(distill_term, d_coef))
@@ -459,11 +444,11 @@ def train_step(model: WorldModel, batch, coeffs: LossCoeffs, hyper: TrainHyper,
     opt_main.step()
 
     model.zero_grad()
-    pi_loss = policy_objective(model, latents, coeffs.rho)
+    pi_loss = policy_objective(model, latents, cfg.rho)
     ad.backward(pi_loss)
     opt_policy.step()
     model.zero_grad()
 
-    model.soft_update_target(hyper.tau)
+    model.soft_update_target(cfg.tau)
     return LossBreakdown.combine(parts.consistency, parts.reward, parts.value,
-                                 distill_value, coeffs, d_coef, step)
+                                 distill_value, cfg, d_coef)

@@ -381,11 +381,9 @@ def sample_batch_loop(dataset, batch_size, horizon, rng):
     obs = np.empty((batch_size, horizon + 1, episodes[0].obs_dim), dtype=np.float32)
     actions = np.empty((batch_size, horizon, episodes[0].act_dim), dtype=np.float32)
     rewards = np.empty((batch_size, horizon), dtype=np.float32)
-    task_ids = []
     for i, (e, s) in enumerate(zip(ep_idx, start)):
         ep = episodes[e]
         obs[i] = ep.obs[s:s + horizon + 1]
         actions[i] = ep.actions[s:s + horizon]
         rewards[i] = ep.rewards[s:s + horizon]
-        task_ids.append(ep.task_id)
-    return TransitionBatch(obs, actions, rewards, task_ids)
+    return TransitionBatch(obs, actions, rewards)

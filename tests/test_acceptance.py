@@ -14,17 +14,15 @@ import pytest
 import wmdistill.autodiff as ad
 from wmdistill.checkpoint import file_hash, read_checkpoint
 from wmdistill.dataset import TransitionBatch, generate_dataset, load_dataset, sample_batch
-from wmdistill.distill import (DistillConfig, FrozenTeacher, LatentProjection,
-                               distill_train_step, fit_pca, latent_distill_loss,
-                               reward_distill_loss)
+from wmdistill.distill import (FrozenTeacher, LatentProjection, distill_train_step,
+                               fit_pca, latent_distill_loss, reward_distill_loss)
 from wmdistill.envs import GroundTruthModel, MultiTaskSuite, make_env, task_score
 from wmdistill.evaluate import evaluate_model, normalized_score, random_policy_return
 from wmdistill.experiments import RunConfig, SweepGrid, run_sweep, run_training
 from wmdistill.planner import PlannerConfig, rollout_episode
 from wmdistill.quantize import F16_MAX, F16_MIN_SUBNORMAL, fp16_round_trip, to_fp16
 from wmdistill.seeding import stream
-from wmdistill.world_model import (LossCoeffs, SizePreset, TrainHyper,
-                                   WorldModel, make_optimizers,
+from wmdistill.world_model import (SizePreset, WorldModel, make_optimizers,
                                    model_from_checkpoint, original_loss,
                                    policy_objective)
 
@@ -97,8 +95,7 @@ def _micro_batch(rng, b=3, h=2, obs_dim=3):
     return TransitionBatch(
         obs=rng.uniform(-1, 1, (b, h + 1, obs_dim)).astype(np.float32),
         actions=rng.uniform(-1, 1, (b, h, 1)).astype(np.float32),
-        rewards=rng.uniform(0, 1, (b, h)).astype(np.float32),
-        task_ids=["pendulum-swingup"] * b)
+        rewards=rng.uniform(0, 1, (b, h)).astype(np.float32))
 
 
 def test_criterion_01_gradient_correctness():
@@ -106,28 +103,29 @@ def test_criterion_01_gradient_correctness():
     2-dim-latent micro-model at rel. error < 1e-4; the whole check < 60 s."""
     t0 = time.perf_counter()
     act = ACTS64["mish"]
-    coeffs = LossCoeffs(1.0, 1.0, 0.5, rho=0.5, horizon=2)
     gamma = 0.9
+    cfg = RunConfig(alpha_consistency=1.0, alpha_reward=1.0, alpha_value=0.5,
+                    rho=0.5, horizon=2, gamma=gamma)
 
     student = WorldModel(3, 1, MICRO_S, seed=1)
     batch = _micro_batch(np.random.default_rng(2))
 
     # composite loss: consistency + reward + value through the rollout
-    total, _, latents = original_loss(student, batch, coeffs, gamma=gamma)
+    total, _, latents = original_loss(student, batch, cfg)
     ad.backward(total)
     arrs = model_layers64(student)
-    enc_t, td_t = composite_targets64(arrs, act, batch, coeffs, gamma)
+    enc_t, td_t = composite_targets64(arrs, act, batch, cfg, gamma)
     for head in ("encoder", "dynamics", "reward", "value"):
         fd = central_diff_layers(
-            lambda: composite_loss64(arrs, act, batch, coeffs, enc_t, td_t)[3],
+            lambda: composite_loss64(arrs, act, batch, cfg, enc_t, td_t)[3],
             arrs[head])
         assert grads_close(analytic_head_grads(getattr(student, head)), fd), head
 
     # policy objective on detached latents
     student.zero_grad()
-    ad.backward(policy_objective(student, latents, coeffs.rho))
+    ad.backward(policy_objective(student, latents, cfg.rho))
     fd = central_diff_layers(
-        lambda: policy_objective64(arrs, act, latents, coeffs.rho),
+        lambda: policy_objective64(arrs, act, latents, cfg.rho),
         arrs["policy"])
     assert grads_close(analytic_head_grads(student.policy), fd)
 
@@ -155,8 +153,7 @@ def test_criterion_01_gradient_correctness():
     # latent distillation, trainable linear projection
     student3 = WorldModel(3, 1, MICRO_S, seed=5)
     proj = LatentProjection(4, 2, rng=np.random.default_rng(6))
-    ad.backward(latent_distill_loss(teacher, student3, batch,
-                                    "latent_linear", proj))
+    ad.backward(latent_distill_loss(teacher, student3, batch, proj))
     s3 = model_layers64(student3)
     w64 = proj.w.data.astype(np.float64)
     for head in ("encoder", "dynamics"):
@@ -175,8 +172,7 @@ def test_criterion_01_gradient_correctness():
     student4 = WorldModel(3, 1, MICRO_S, seed=7)
     cloud = np.random.default_rng(8).standard_normal((800, 4)) * [3, 2, 1, .5]
     pca = fit_pca(cloud, k=2)
-    ad.backward(latent_distill_loss(teacher, student4, batch,
-                                    "latent_pca", pca))
+    ad.backward(latent_distill_loss(teacher, student4, batch, pca))
     s4 = model_layers64(student4)
     for head in ("encoder", "dynamics"):
         fd = central_diff_layers(
@@ -221,15 +217,12 @@ def test_criterion_03_frozen_teacher(accept_dataset, teacher_L, tmp_path):
     dataset = load_dataset(accept_dataset)
     student = WorldModel(dataset.obs_dim, dataset.act_dim, "student",
                          seed=SEED + 4)
-    hyper = TrainHyper()
-    coeffs = LossCoeffs()
-    dcfg = DistillConfig(d_coef=0.5)
-    om, op = make_optimizers(student, hyper)
+    cfg = RunConfig(d_coef=0.5)
+    om, op = make_optimizers(student, cfg.lr)
     for step in range(10_000):
-        batch = sample_batch(dataset, 16, coeffs.horizon,
+        batch = sample_batch(dataset, 16, cfg.horizon,
                              stream(SEED + 4, "batch", step))
-        distill_train_step(teacher, student, batch, coeffs, dcfg, hyper,
-                           om, op, step=step)
+        distill_train_step(teacher, student, batch, cfg, om, op)
     assert teacher.refingerprint() == fp_before
     assert file_hash(teacher_L) == hash_before
     _report("criterion 3 frozen teacher", "10k steps")
@@ -419,28 +412,26 @@ def test_criterion_10_latent_distillation_mechanism(accept_dataset,
 
     dataset = load_dataset(accept_dataset)
     teacher = FrozenTeacher.load(teacher_S_quick)
-    hyper = TrainHyper()
-    coeffs = LossCoeffs()
     finals = {}
     for mode in ("latent_linear", "latent_pca"):
         student = WorldModel(dataset.obs_dim, dataset.act_dim, "student",
                              seed=SEED + 10)
-        dcfg = DistillConfig(d_coef=0.5, mode=mode)
+        cfg = RunConfig(d_coef=0.5, mode=mode)
         if mode == "latent_linear":
             projection = LatentProjection(teacher.model.latent_dim,
                                           student.latent_dim,
                                           rng=np.random.default_rng(12))
-            om, op = make_optimizers(student, hyper, projection.params())
+            om, op = make_optimizers(student, cfg.lr, projection.params())
         else:
             from wmdistill.distill import fit_pca_projection
             projection = fit_pca_projection(teacher, dataset,
                                             student.latent_dim, seed=13)
-            om, op = make_optimizers(student, hyper)
+            om, op = make_optimizers(student, cfg.lr)
         for step in range(2000):
-            batch = sample_batch(dataset, 16, coeffs.horizon,
+            batch = sample_batch(dataset, 16, cfg.horizon,
                                  stream(SEED + 10, "batch", step))
-            bd = distill_train_step(teacher, student, batch, coeffs, dcfg,
-                                    hyper, om, op, projection, step=step)
+            bd = distill_train_step(teacher, student, batch, cfg, om, op,
+                                    projection)
             assert np.isfinite(bd.total), f"{mode} diverged at step {step}"
             assert np.isfinite(bd.distill)
         finals[mode] = bd.total

@@ -164,7 +164,6 @@ def test_single_window_dataset_returns_the_full_episode():
     assert np.array_equal(batch.obs[0], ep.obs)
     assert np.array_equal(batch.actions[0], ep.actions)
     assert np.array_equal(batch.rewards[0], ep.rewards)
-    assert batch.task_ids == [ep.task_id]
 
 
 def test_windows_match_source_slices_and_never_cross_episodes():
@@ -238,7 +237,6 @@ def test_gathered_windows_equal_the_per_row_loop_bitwise(tiny_dataset, horizon):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert a.tobytes() == b.tobytes(), (seed, name)
-            assert got.task_ids == want.task_ids
             assert got_rng.integers(2 ** 62) == want_rng.integers(2 ** 62)
     with pytest.raises(ValueError, match="exceeds an episode length"):
         sample_batch(mixed, 4, 6, np.random.default_rng(0))

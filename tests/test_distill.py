@@ -6,13 +6,13 @@ import pytest
 import wmdistill.autodiff as ad
 from wmdistill.checkpoint import write_checkpoint
 from wmdistill.dataset import TransitionBatch
-from wmdistill.distill import (DegenerateDataError, DistillConfig,
-                               FrozenTeacher, LatentProjection, PcaProjection,
+from wmdistill.distill import (DegenerateDataError, FrozenTeacher,
+                               LatentProjection, PcaProjection,
                                distill_train_step, fit_pca,
                                latent_distill_loss, reward_distill_loss)
-from wmdistill.world_model import (LossBreakdown, LossCoeffs, SizePreset,
-                                   TrainHyper, WorldModel, make_optimizers,
-                                   original_loss, train_step)
+from wmdistill.experiments import RunConfig
+from wmdistill.world_model import (LossBreakdown, SizePreset, WorldModel,
+                                   make_optimizers, original_loss, train_step)
 
 from oracle_refs import (ACTS64, analytic_head_grads, central_diff_layers,
                          grads_close, head_np, latent_distill64,
@@ -33,8 +33,7 @@ def make_batch(rng, b=4, h=2, obs_dim=3, act_dim=1):
     return TransitionBatch(
         obs=rng.uniform(-1, 1, (b, h + 1, obs_dim)).astype(np.float32),
         actions=rng.uniform(-1, 1, (b, h, act_dim)).astype(np.float32),
-        rewards=rng.uniform(0, 1, (b, h)).astype(np.float32),
-        task_ids=["cup-catch"] * b)
+        rewards=rng.uniform(0, 1, (b, h)).astype(np.float32))
 
 
 def test_identical_teacher_student_gives_zero_loss():
@@ -111,24 +110,24 @@ def test_dim_mismatch_between_models_rejected():
 
 
 def test_total_distill_loss_arithmetic():
-    coeffs = LossCoeffs(1.0, 1.0, 0.5)
-    original = LossBreakdown.combine(0.4, 0.3, 0.6, 0.0, coeffs, 0.0)
+    cfg = RunConfig(alpha_consistency=1.0, alpha_reward=1.0, alpha_value=0.5)
+    original = LossBreakdown.combine(0.4, 0.3, 0.6, 0.0, cfg, 0.0)
     assert original.total == 1.0
-    combined = LossBreakdown.combine(0.4, 0.3, 0.6, 0.5, coeffs, 0.4)
+    combined = LossBreakdown.combine(0.4, 0.3, 0.6, 0.5, cfg, 0.4)
     assert abs(combined.total - 1.2) < 1e-12
     assert combined.distill == 0.5
     # d_coef = 0 keeps the original total exactly
-    same = LossBreakdown.combine(0.4, 0.3, 0.6, 0.5, coeffs, 0.0)
+    same = LossBreakdown.combine(0.4, 0.3, 0.6, 0.5, cfg, 0.0)
     assert same.total == original.total
     # the config accepts the extended-run coefficient
-    assert DistillConfig(d_coef=0.45).d_coef == 0.45
+    assert RunConfig(d_coef=0.45).d_coef == 0.45
 
 
 def test_total_strictly_increasing_in_d_coef():
-    coeffs = LossCoeffs(1.0, 1.0, 0.5)
-    original = LossBreakdown.combine(0.4, 0.3, 0.6, 0.0, coeffs, 0.0)
+    cfg = RunConfig(alpha_consistency=1.0, alpha_reward=1.0, alpha_value=0.5)
+    original = LossBreakdown.combine(0.4, 0.3, 0.6, 0.0, cfg, 0.0)
     totals = [LossBreakdown.combine(original.consistency, original.reward,
-                                    original.value, 0.7, coeffs, d).total
+                                    original.value, 0.7, cfg, d).total
               for d in (0.0, 0.1, 0.4, 0.45, 0.9)]
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
@@ -138,7 +137,7 @@ def test_latent_distill_identity_projection_reduces_to_plain_mse():
     student = WorldModel(3, 1, MICRO_S, seed=10)
     batch = make_batch(np.random.default_rng(5), b=3, h=2)
     proj = LatentProjection(2, 2, matrix=np.eye(2, dtype=np.float32))
-    loss = latent_distill_loss(teacher, student, batch, "latent_linear", proj)
+    loss = latent_distill_loss(teacher, student, batch, proj)
 
     act = ACTS64["mish"]
     t_arrs, s_arrs = model_layers64(teacher.model), model_layers64(student)
@@ -157,8 +156,7 @@ def test_latent_linear_gradients_match_finite_differences():
     student = WorldModel(3, 1, MICRO_S, seed=12)
     batch = make_batch(np.random.default_rng(6), b=3, h=2)
     proj = LatentProjection(4, 2, rng=np.random.default_rng(7))
-    ad.backward(latent_distill_loss(teacher, student, batch,
-                                    "latent_linear", proj))
+    ad.backward(latent_distill_loss(teacher, student, batch, proj))
 
     act = ACTS64["mish"]
     t_arrs, s_arrs = model_layers64(teacher.model), model_layers64(student)
@@ -188,7 +186,7 @@ def test_latent_pca_gradients_match_finite_differences():
     batch = make_batch(np.random.default_rng(8), b=3, h=2)
     cloud = np.random.default_rng(9).standard_normal((500, 4)) * [3, 1, .5, .2]
     pca = fit_pca(cloud, k=2)
-    ad.backward(latent_distill_loss(teacher, student, batch, "latent_pca", pca))
+    ad.backward(latent_distill_loss(teacher, student, batch, pca))
 
     act = ACTS64["mish"]
     t_arrs, s_arrs = model_layers64(teacher.model), model_layers64(student)
@@ -223,17 +221,8 @@ def test_stacked_teacher_targets_match_per_step_reference():
     np.testing.assert_allclose(reward_distill_loss(teacher, student, batch).item(),
                                reward / h, rtol=1e-5)
     np.testing.assert_allclose(
-        latent_distill_loss(teacher, student, batch, "latent_pca", pca).item(),
+        latent_distill_loss(teacher, student, batch, pca).item(),
         latent / h, rtol=1e-5)
-
-
-def test_unfitted_pca_rejected():
-    teacher = make_teacher(seed=15)
-    student = WorldModel(3, 1, MICRO_S, seed=16)
-    with pytest.raises(ValueError, match="projection"):
-        latent_distill_loss(teacher, student,
-                            make_batch(np.random.default_rng(10)),
-                            "latent_pca", None)
 
 
 class TestPcaFit:
@@ -347,17 +336,14 @@ def _mini_training_setup(seed, d_coef, mode="reward_only", steps=30):
     batches = [make_batch(rng, b=6, h=2) for _ in range(steps)]
     teacher = make_teacher(seed=50)
     student = WorldModel(3, 1, MICRO_S, seed=seed)
-    hyper = TrainHyper(lr=1e-3)
-    coeffs = LossCoeffs(horizon=2)
-    dcfg = DistillConfig(d_coef=d_coef, mode=mode)
+    cfg = RunConfig(lr=1e-3, horizon=2, d_coef=d_coef, mode=mode)
     projection = None
     if mode == "latent_linear":
         projection = LatentProjection(4, 2, rng=np.random.default_rng(seed))
-    om, op = make_optimizers(student, hyper,
+    om, op = make_optimizers(student, cfg.lr,
                              projection.params() if projection else None)
-    for step, batch in enumerate(batches):
-        distill_train_step(teacher, student, batch, coeffs, dcfg, hyper,
-                           om, op, projection, step=step)
+    for batch in batches:
+        distill_train_step(teacher, student, batch, cfg, om, op, projection)
     return teacher, student
 
 
@@ -367,10 +353,10 @@ def test_d_coef_zero_is_bitwise_identical_to_from_scratch():
     rng = np.random.default_rng(100)
     batches = [make_batch(rng, b=6, h=2) for _ in range(30)]
     scratch = WorldModel(3, 1, MICRO_S, seed=60)
-    hyper = TrainHyper(lr=1e-3)
-    om, op = make_optimizers(scratch, hyper)
-    for step, batch in enumerate(batches):
-        train_step(scratch, batch, LossCoeffs(horizon=2), hyper, om, op, step)
+    cfg = RunConfig(lr=1e-3, horizon=2)
+    om, op = make_optimizers(scratch, cfg.lr)
+    for batch in batches:
+        train_step(scratch, batch, cfg, om, op)
 
     for (n1, p1), (n2, p2) in zip(distilled.named_parameters(),
                                   scratch.named_parameters()):
@@ -381,7 +367,7 @@ def _one_distill_step(mode, d_coef=0.5, seed=64):
     """(teacher, student, step) for one distill_train_step on a fixed batch."""
     teacher = make_teacher(seed=53)
     student = WorldModel(3, 1, MICRO_S, seed=seed)
-    hyper = TrainHyper(lr=1e-3)
+    cfg = RunConfig(lr=1e-3, horizon=3, d_coef=d_coef, mode=mode)
     projection = None
     if mode == "latent_linear":
         projection = LatentProjection(4, 2, rng=np.random.default_rng(0))
@@ -389,13 +375,11 @@ def _one_distill_step(mode, d_coef=0.5, seed=64):
         cloud = np.random.default_rng(1).standard_normal((1500, 4)) * [3, 2, 1, .5]
         projection = fit_pca(cloud, k=2)
     lin = projection.params() if isinstance(projection, LatentProjection) else None
-    om, op = make_optimizers(student, hyper, lin)
+    om, op = make_optimizers(student, cfg.lr, lin)
     batch = make_batch(np.random.default_rng(103), b=6, h=3)
-    dcfg = DistillConfig(d_coef=d_coef, mode=mode)
 
     def step():
-        return distill_train_step(teacher, student, batch, LossCoeffs(horizon=3),
-                                  dcfg, hyper, om, op, projection)
+        return distill_train_step(teacher, student, batch, cfg, om, op, projection)
     return teacher, student, batch, projection, step
 
 
@@ -438,7 +422,7 @@ def test_distill_step_term_equals_standalone_losses(mode):
     teacher, student, batch, projection, step = _one_distill_step(mode)
     expected = reward_distill_loss(teacher, student, batch).item()
     if mode != "reward_only":
-        expected += latent_distill_loss(teacher, student, batch, mode,
+        expected += latent_distill_loss(teacher, student, batch,
                                         projection).item()
     np.testing.assert_allclose(step().distill, expected, rtol=1e-6)
 
@@ -453,9 +437,7 @@ def test_latent_modes_train_with_finite_losses(mode):
     rng = np.random.default_rng(101)
     teacher = make_teacher(seed=51)
     student = WorldModel(3, 1, MICRO_S, seed=62)
-    hyper = TrainHyper(lr=1e-3)
-    coeffs = LossCoeffs(horizon=2)
-    dcfg = DistillConfig(d_coef=0.5, mode=mode)
+    cfg = RunConfig(lr=1e-3, horizon=2, d_coef=0.5, mode=mode)
     if mode == "latent_linear":
         projection = LatentProjection(4, 2, rng=np.random.default_rng(0))
         extra = projection.params()
@@ -463,10 +445,10 @@ def test_latent_modes_train_with_finite_losses(mode):
         cloud = np.random.default_rng(1).standard_normal((1500, 4)) * [3, 2, 1, .5]
         projection = fit_pca(cloud, k=2)
         extra = None
-    om, op = make_optimizers(student, hyper, extra)
-    for step in range(40):
+    om, op = make_optimizers(student, cfg.lr, extra)
+    for _ in range(40):
         bd = distill_train_step(teacher, student, make_batch(rng, b=6, h=2),
-                                coeffs, dcfg, hyper, om, op, projection, step)
+                                cfg, om, op, projection)
         assert np.isfinite(bd.total) and np.isfinite(bd.distill)
     assert bd.distill > 0.0
 

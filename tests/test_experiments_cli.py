@@ -5,11 +5,14 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wmdistill.checkpoint import file_hash, read_checkpoint, write_checkpoint
 from wmdistill.cli import EXIT_OK, EXIT_USAGE, build_parser, main
-from wmdistill.dataset import generate_dataset, load_dataset
+from wmdistill.dataset import generate_dataset, load_dataset, sample_batch
+from wmdistill.distill import (FrozenTeacher, LatentProjection, distill_train_step,
+                               fit_pca_projection)
 from wmdistill.envs import MultiTaskSuite, TASKS, UsageError
 from wmdistill.evaluate import evaluate_model, normalized_score
 import wmdistill.checkpoint as checkpoint_module
@@ -19,7 +22,8 @@ from wmdistill.experiments import (DISTILL_SETTINGS, ResumeMismatchError,
                                    read_config, run_eval, run_quantize, run_sweep,
                                    run_training, write_config)
 from wmdistill.planner import PlannerConfig
-from wmdistill.world_model import WorldModel, model_from_checkpoint
+from wmdistill.world_model import (WorldModel, make_optimizers, model_from_checkpoint,
+                                   train_step)
 
 FAST = dict(steps=20, batch_size=8, log_interval=5, eval_every=0,
             eval_episodes=0, preset="student")
@@ -245,12 +249,22 @@ def test_sweep_table_sorted_and_complete(data_dir, teacher_ckpt, tmp_path):
         assert (Path(cell["out_dir"]) / "report.json").exists()
 
 
-def test_sweep_records_cell_failures_and_continues(data_dir, tmp_path):
+def _broken_teacher(root, teacher_ckpt):
+    """`teacher_ckpt` without its encoder.w0 tensor: its metadata fits the
+    dataset, so a sweep starts, and each of its cells fails loading it."""
+    broken = read_checkpoint(teacher_ckpt)
+    del broken.tensors["encoder.w0"]
+    write_checkpoint(root / "broken.tdck", broken)
+    return root / "broken.tdck"
+
+
+def test_sweep_records_cell_failures_and_continues(data_dir, teacher_ckpt, tmp_path):
+    broken = _broken_teacher(tmp_path, teacher_ckpt)
     base = RunConfig(dataset=str(data_dir), out="", seed=52, steps=5,
                      batch_size=8, log_interval=5, eval_every=0,
                      eval_episodes=0, preset="student")
     grid = SweepGrid(d_coefs=[0.4], batch_sizes=[],
-                     steps_list=[], teachers=["/nonexistent.tdck", ""])
+                     steps_list=[], teachers=[str(broken), ""])
     report = run_sweep(base, grid, tmp_path / "sweep2")
     statuses = sorted(c["status"] for c in report["cells"])
     assert len(statuses) == 2
@@ -259,9 +273,9 @@ def test_sweep_records_cell_failures_and_continues(data_dir, tmp_path):
     rows = (tmp_path / "sweep2" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 2
     failed = [c for c in report["cells"] if c["status"] != "ok"]
-    assert "nonexistent.tdck" in failed[0]["error"]
+    assert "encoder.w0" in failed[0]["error"]
     trace = (Path(failed[0]["out_dir"]) / "error.txt").read_text()
-    assert "Traceback" in trace and "nonexistent.tdck" in trace
+    assert "Traceback" in trace and "encoder.w0" in trace
     on_disk = json.loads((tmp_path / "sweep2" / "report.json").read_text())
     assert [c["error"] for c in on_disk["cells"]] == [c["error"] for c in report["cells"]]
 
@@ -292,6 +306,85 @@ def test_sweep_empty_grid_is_usage_error(data_dir, tmp_path):
                "--out", str(tmp_path / "s")])
     assert rc == EXIT_USAGE
     assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
+def _teacher_of(root, tasks, record_tasks=True):
+    """A student-size checkpoint that reads the observation layout of `tasks`."""
+    suite = MultiTaskSuite(tasks)
+    model = WorldModel(suite.obs_dim, suite.act_dim, "student", seed=4)
+    path = root / "other-teacher.tdck"
+    write_checkpoint(path, model.to_checkpoint(
+        {"tasks": ",".join(tasks)} if record_tasks else {}))
+    return path
+
+
+# (tasks the teacher reads, whether its metadata records them, what the error names)
+@pytest.mark.parametrize("tasks, record_tasks, named", [
+    (TASKS[::-1], True, "checkpoint's " + ",".join(TASKS[::-1])),
+    (TASKS[2:], True, "checkpoint's " + TASKS[2]),
+    (TASKS[2:], False, "reads obs/act dims")], ids=["reordered", "subset", "other-dims"])
+def test_distill_teacher_of_another_layout_is_usage_error(data_dir, tmp_path, capsys,
+                                                          tasks, record_tasks, named):
+    teacher = _teacher_of(tmp_path, tasks, record_tasks)
+    out = tmp_path / "run"
+    rc = main(["distill", "--dataset", str(data_dir), "--out", str(out),
+               "--teacher", str(teacher), "--steps", "2", "--batch-size", "4",
+               "--eval-episodes", "0", "--d-coef", "0.5"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and ",".join(TASKS) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["missing", "reordered"])
+def test_sweep_checks_each_teacher_before_any_cell(data_dir, teacher_ckpt, tmp_path,
+                                                   capsys, bad):
+    path = (tmp_path / "missing.tdck" if bad == "missing"
+            else _teacher_of(tmp_path, TASKS[::-1]))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "1",
+               "--eval-episodes", "0", "--grid-teacher", f"{teacher_ckpt},{path}"])
+    assert rc == EXIT_USAGE
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _ReadRecorder:
+    """A RunConfig that records the name of every setting read from it."""
+
+    def __init__(self, cfg):
+        self._cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+@pytest.mark.parametrize("mode", [None, "reward_only", "latent_linear", "latent_pca"])
+def test_resume_guard_covers_every_setting_the_update_reads(data_dir, teacher_ckpt,
+                                                            mode):
+    # --resume compares _TRAIN_KEYS, so a setting the update step reads
+    # outside them could differ between a run and its resumption unnoticed
+    dataset = load_dataset(data_dir)
+    model = WorldModel(dataset.obs_dim, dataset.act_dim, "student", seed=3)
+    teacher = FrozenTeacher.load(teacher_ckpt)
+    projection = None
+    if mode == "latent_linear":
+        projection = LatentProjection(teacher.model.latent_dim, model.latent_dim)
+    elif mode == "latent_pca":
+        projection = fit_pca_projection(teacher, dataset, model.latent_dim)
+    cfg = _ReadRecorder(RunConfig(d_coef=0.5, mode=mode or "reward_only"))
+    extra = projection.params() if isinstance(projection, LatentProjection) else None
+    opts = make_optimizers(model, cfg.lr, extra)
+    batch = sample_batch(dataset, 8, cfg.horizon, np.random.default_rng(0))
+    if mode is None:
+        train_step(model, batch, cfg, *opts)
+    else:
+        distill_train_step(teacher, model, batch, cfg, *opts, projection)
+    assert {"lr", "horizon", "gamma", "tau", "rho"} <= cfg.read
+    assert ("d_coef" in cfg.read) == (mode is not None)
+    assert ("latent_coef" in cfg.read) == (projection is not None)
+    assert cfg.read <= set(experiments_module._TRAIN_KEYS)
 
 
 def test_eval_task_score_independent_of_other_tasks(teacher_ckpt):
@@ -670,11 +763,11 @@ def _quantize_run(root, data_dir, teacher_ckpt, variant):
 
 
 def _sweep_run(root, data_dir, teacher_ckpt, variant):
-    # every cell fails (missing teacher), so each writes error.txt; the second
+    # every cell fails (broken teacher), so each writes error.txt; the second
     # sweep has one more cell, so its sweep.csv differs from the first's
     base = RunConfig(dataset=str(data_dir), seed=variant, **FAST)
     run_sweep(base, SweepGrid([0.1, 0.2][:variant + 1], [], [],
-                              [str(root / "missing.tdck")]), root / "sweep")
+                              [str(_broken_teacher(root, teacher_ckpt))]), root / "sweep")
 
 
 def _gen_data(root, data_dir, teacher_ckpt, variant):

@@ -7,9 +7,9 @@ import pytest
 import wmdistill.autodiff as ad
 from wmdistill.autodiff import ShapeError, Tensor
 from wmdistill.dataset import TransitionBatch
-from wmdistill.world_model import (LossBreakdown, LossCoeffs, PRESETS,
-                                   SizePreset, TrainHyper, WorldModel,
-                                   make_optimizers, model_from_checkpoint,
+from wmdistill.experiments import RunConfig
+from wmdistill.world_model import (LossBreakdown, PRESETS, SizePreset,
+                                   WorldModel, make_optimizers, model_from_checkpoint,
                                    original_loss, policy_objective,
                                    stack_steps, train_step)
 
@@ -28,8 +28,7 @@ def make_batch(rng, b=4, h=2, obs_dim=3, act_dim=1):
     return TransitionBatch(
         obs=rng.uniform(-1, 1, (b, h + 1, obs_dim)).astype(np.float32),
         actions=rng.uniform(-1, 1, (b, h, act_dim)).astype(np.float32),
-        rewards=rng.uniform(0, 1, (b, h)).astype(np.float32),
-        task_ids=["pendulum-swingup"] * b)
+        rewards=rng.uniform(0, 1, (b, h)).astype(np.float32))
 
 
 def test_preset_hierarchy_keeps_teacher_latents_wider_than_student():
@@ -198,8 +197,9 @@ def test_graph_and_numpy_paths_agree():
 def test_all_alphas_zero_gives_zero_total():
     model = micro_model(seed=8)
     batch = make_batch(np.random.default_rng(5))
-    coeffs = LossCoeffs(0.0, 0.0, 0.0, rho=0.5, horizon=2)
-    total, parts, _ = original_loss(model, batch, coeffs)
+    cfg = RunConfig(alpha_consistency=0.0, alpha_reward=0.0, alpha_value=0.0,
+                    rho=0.5, horizon=2)
+    total, parts, _ = original_loss(model, batch, cfg)
     assert total.item() == 0.0
     assert parts.total == 0.0
 
@@ -227,8 +227,8 @@ def test_self_consistent_rollout_data_zeroes_consistency_and_reward():
     rewards = model.reward_np(np.concatenate(z[:h]),
                               stack_steps(actions)).reshape(h, b).T
 
-    batch = TransitionBatch(obs, actions, rewards, ["pendulum-swingup"] * b)
-    _, parts, _ = original_loss(model, batch, LossCoeffs(horizon=h))
+    batch = TransitionBatch(obs, actions, rewards)
+    _, parts, _ = original_loss(model, batch, RunConfig(horizon=h))
     assert parts.consistency == 0.0
     assert parts.reward == 0.0
 
@@ -239,8 +239,9 @@ def test_h1_micro_model_components_match_pencil_oracle():
     model = micro_model(seed=10)
     rng = np.random.default_rng(7)
     batch = make_batch(rng, b=4, h=1)
-    coeffs = LossCoeffs(1.0, 1.0, 0.5, rho=0.5, horizon=1)
     gamma = 0.9
+    cfg = RunConfig(alpha_consistency=1.0, alpha_reward=1.0, alpha_value=0.5,
+                    rho=0.5, horizon=1, gamma=gamma)
 
     arrs = model_layers64(model)
     act = ACTS64[model.activation]
@@ -257,7 +258,7 @@ def test_h1_micro_model_components_match_pencil_oracle():
     q_pred = head_np(arrs, "value", act, z0, batch.actions[:, 0])[:, 0]
     exp_value = np.mean((q_pred - td) ** 2)
 
-    total, parts, _ = original_loss(model, batch, coeffs, gamma=gamma)
+    total, parts, _ = original_loss(model, batch, cfg)
     assert abs(parts.consistency - exp_consistency) < 1e-6
     assert abs(parts.reward - exp_reward) < 1e-6
     assert abs(parts.value - exp_value) < 1e-6
@@ -266,15 +267,16 @@ def test_h1_micro_model_components_match_pencil_oracle():
 
 
 def test_breakdown_total_reproduces_combination_and_scales_linearly():
-    coeffs = LossCoeffs(1.25, 0.75, 0.5, rho=0.5, horizon=2)
-    bd = LossBreakdown.combine(0.3, 0.2, 0.4, 0.1, coeffs, d_coef=0.4)
+    cfg = RunConfig(alpha_consistency=1.25, alpha_reward=0.75, alpha_value=0.5,
+                    rho=0.5, horizon=2)
+    bd = LossBreakdown.combine(0.3, 0.2, 0.4, 0.1, cfg, d_coef=0.4)
     assert abs(bd.total - (1.25 * 0.3 + 0.75 * 0.2 + 0.5 * 0.4 + 0.4 * 0.1)) <= 1e-6
     # scaling an alpha by c scales that component's contribution by exactly
     # c (checked with a power-of-two factor, where float scaling is exact)
     c = 2.0
-    contribution = coeffs.alpha_consistency * bd.consistency
-    scaled = LossCoeffs(coeffs.alpha_consistency * c, 0.75, 0.5,
-                        rho=0.5, horizon=2)
+    contribution = cfg.alpha_consistency * bd.consistency
+    scaled = RunConfig(alpha_consistency=cfg.alpha_consistency * c, alpha_reward=0.75,
+                       alpha_value=0.5, rho=0.5, horizon=2)
     assert scaled.alpha_consistency * bd.consistency == c * contribution
     bd2 = LossBreakdown.combine(0.3, 0.2, 0.4, 0.1, scaled, d_coef=0.4)
     assert abs((bd2.total - bd.total) - (c - 1) * contribution) < 1e-12
@@ -283,19 +285,20 @@ def test_breakdown_total_reproduces_combination_and_scales_linearly():
 def test_composite_loss_gradients_match_finite_differences():
     model = micro_model(seed=11)
     batch = make_batch(np.random.default_rng(8), b=3, h=2)
-    coeffs = LossCoeffs(1.0, 1.0, 0.5, rho=0.5, horizon=2)
     gamma = 0.9
+    cfg = RunConfig(alpha_consistency=1.0, alpha_reward=1.0, alpha_value=0.5,
+                    rho=0.5, horizon=2, gamma=gamma)
 
-    total, _, _ = original_loss(model, batch, coeffs, gamma=gamma)
+    total, _, _ = original_loss(model, batch, cfg)
     ad.backward(total)
 
     arrs = model_layers64(model)
     act = ACTS64[model.activation]
-    enc_t, td_t = composite_targets64(arrs, act, batch, coeffs, gamma)
+    enc_t, td_t = composite_targets64(arrs, act, batch, cfg, gamma)
 
     for head in ("encoder", "dynamics", "reward", "value"):
         fd = central_diff_layers(
-            lambda: composite_loss64(arrs, act, batch, coeffs, enc_t, td_t)[3],
+            lambda: composite_loss64(arrs, act, batch, cfg, enc_t, td_t)[3],
             arrs[head])
         analytic = analytic_head_grads(getattr(model, head))
         assert grads_close(analytic, fd), f"gradient mismatch in {head}"
@@ -304,15 +307,15 @@ def test_composite_loss_gradients_match_finite_differences():
 def test_policy_objective_gradients_match_finite_differences():
     model = micro_model(seed=12)
     batch = make_batch(np.random.default_rng(9), b=3, h=2)
-    coeffs = LossCoeffs(horizon=2)
-    _, _, latents = original_loss(model, batch, coeffs)
+    cfg = RunConfig(horizon=2)
+    _, _, latents = original_loss(model, batch, cfg)
     model.zero_grad()
-    ad.backward(policy_objective(model, latents, coeffs.rho))
+    ad.backward(policy_objective(model, latents, cfg.rho))
 
     arrs = model_layers64(model)
     act = ACTS64[model.activation]
     fd = central_diff_layers(
-        lambda: policy_objective64(arrs, act, latents, coeffs.rho),
+        lambda: policy_objective64(arrs, act, latents, cfg.rho),
         arrs["policy"])
     assert grads_close(analytic_head_grads(model.policy), fd)
 
@@ -320,7 +323,7 @@ def test_policy_objective_gradients_match_finite_differences():
 def test_policy_step_leaves_value_head_without_gradients(monkeypatch):
     model = micro_model(seed=22)
     batch = make_batch(np.random.default_rng(15), b=3, h=2)
-    _, _, latents = original_loss(model, batch, LossCoeffs(horizon=2))
+    _, _, latents = original_loss(model, batch, RunConfig(horizon=2))
     grad_map = ad.backward(policy_objective(model, latents, 0.5))
     assert set(grad_map) == set(model.policy.params())
     for p in model.value.params():
@@ -339,8 +342,8 @@ def test_stacked_targets_match_per_step_reference():
     model = micro_model(seed=23)
     h, gamma, rho = 3, 0.9, 0.5
     batch = make_batch(np.random.default_rng(16), b=16, h=h)
-    _, parts, latents = original_loss(model, batch, LossCoeffs(rho=rho, horizon=h),
-                                      gamma=gamma)
+    _, parts, latents = original_loss(model, batch,
+                                      RunConfig(rho=rho, horizon=h, gamma=gamma))
     consistency = value = 0.0
     for t in range(h):
         enc = model.encode_np(batch.obs[:, t + 1])
@@ -357,7 +360,7 @@ def test_td_targets_carry_no_gradient():
     # target head parameters never appear in the gradient map
     model = micro_model(seed=13)
     batch = make_batch(np.random.default_rng(10), b=3, h=2)
-    total, _, _ = original_loss(model, batch, LossCoeffs(horizon=2))
+    total, _, _ = original_loss(model, batch, RunConfig(horizon=2))
     grad_map = ad.backward(total)
     target_params = set(model.target_value.params())
     assert not (target_params & set(grad_map)), \
@@ -370,18 +373,18 @@ def test_horizon_exceeding_window_rejected():
     model = micro_model(seed=14)
     batch = make_batch(np.random.default_rng(11), b=2, h=2)
     with pytest.raises(ValueError, match="horizon"):
-        original_loss(model, batch, LossCoeffs(horizon=5))
+        original_loss(model, batch, RunConfig(horizon=5))
 
 
 def test_train_step_deterministic_bitwise():
     def run():
         model = micro_model(seed=15)
-        hyper = TrainHyper(lr=1e-3)
-        om, op = make_optimizers(model, hyper)
+        cfg = RunConfig(lr=1e-3, horizon=2)
+        om, op = make_optimizers(model, cfg.lr)
         rng = np.random.default_rng(12)
         batches = [make_batch(rng, b=4, h=2) for _ in range(10)]
-        for step, batch in enumerate(batches):
-            train_step(model, batch, LossCoeffs(horizon=2), hyper, om, op, step)
+        for batch in batches:
+            train_step(model, batch, cfg, om, op)
         return np.concatenate([p.data.ravel() for _, p in model.named_parameters()])
     w1, w2 = run(), run()
     assert np.array_equal(w1, w2)
@@ -389,24 +392,23 @@ def test_train_step_deterministic_bitwise():
 
 def test_overfit_one_batch_reduces_loss():
     model = micro_model(seed=16)
-    hyper = TrainHyper(lr=3e-3)
-    om, op = make_optimizers(model, hyper)
+    cfg = RunConfig(lr=3e-3, horizon=2)
+    om, op = make_optimizers(model, cfg.lr)
     batch = make_batch(np.random.default_rng(13), b=8, h=2)
-    coeffs = LossCoeffs(horizon=2)
-    first = train_step(model, batch, coeffs, hyper, om, op, 0)
-    for step in range(1, 200):
-        last = train_step(model, batch, coeffs, hyper, om, op, step)
+    first = train_step(model, batch, cfg, om, op)
+    for _ in range(1, 200):
+        last = train_step(model, batch, cfg, om, op)
     assert last.total < first.total
 
 
 def test_tau_zero_freezes_target_head():
     model = micro_model(seed=17)
     before = [p.data.copy() for p in model.target_value.params()]
-    hyper = TrainHyper(lr=1e-3, tau=0.0)
-    om, op = make_optimizers(model, hyper)
+    cfg = RunConfig(lr=1e-3, tau=0.0, horizon=2)
+    om, op = make_optimizers(model, cfg.lr)
     batch = make_batch(np.random.default_rng(14), b=4, h=2)
-    for step in range(5):
-        train_step(model, batch, LossCoeffs(horizon=2), hyper, om, op, step)
+    for _ in range(5):
+        train_step(model, batch, cfg, om, op)
     for b0, p in zip(before, model.target_value.params()):
         assert np.array_equal(b0, p.data)
 
