@@ -47,54 +47,64 @@ def _add_scoring(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--episodes", type=int, default=10)
 
 
-def _add_run(sub, command: str, help_text: str, names=None) -> argparse.ArgumentParser:
-    """A training subcommand: --config plus the flags of the settings `names`."""
-    parser = sub.add_parser(command, help=help_text)
+def _add_run(parser: argparse.ArgumentParser, names=None) -> None:
+    """A training subcommand's flags: --config plus the settings `names`."""
     parser.add_argument("--config", type=str, default=None,
                         help="key=value config file; explicit flags win")
     _add_settings(parser, names)
-    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _gen_data_flags(parser: argparse.ArgumentParser) -> None:
+    _add_settings(parser, ("out", "seed"))
+    parser.add_argument("--episodes-per-task", type=int, default=10)
+    parser.add_argument("--policy", type=str, default="mixture",
+                        help="random | scripted | mixture | trained:<checkpoint>")
+    parser.add_argument("--tasks", type=str, default=",".join(TASKS),
+                        help="comma-separated task list")
+
+
+def _train_flags(parser: argparse.ArgumentParser) -> None:
+    _add_run(parser, {name for name, *_ in _SETTING_FLAGS} - set(DISTILL_SETTINGS))
+
+
+def _eval_flags(parser: argparse.ArgumentParser) -> None:
+    _add_scoring(parser)
+    parser.add_argument("--tasks", type=str, default="",
+                        help="comma-separated subset; default: checkpoint metadata")
+
+
+def _quantize_flags(parser: argparse.ArgumentParser) -> None:
+    _add_scoring(parser)
+    parser.add_argument("--eval", action="store_true",
+                        help="also score float and f16 models side by side")
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_run(parser)
+    parser.add_argument("--grid-d-coef", type=str, default="",
+                        help=f"comma list; 'reference' = {DEFAULT_D_COEF_GRID}")
+    parser.add_argument("--grid-batch-size", type=str, default="",
+                        help="comma list of batch sizes")
+    parser.add_argument("--grid-steps", type=str, default="",
+                        help="comma list of step counts")
+    parser.add_argument("--grid-teacher", type=str, default="",
+                        help="comma list of teacher checkpoints ('' cell = from scratch)")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of subcommand `command` alone, or of every subcommand when
+    `command` is None. Both parse that command's argv to the same Namespace;
+    `main` builds one command's flags, since argparse builds a help formatter
+    for every flag it adds."""
     parser = argparse.ArgumentParser(
         prog="wmdistill",
         description="world-model distillation lab: offline training, "
                     "frozen-teacher distillation, planner evaluation, fp16 "
                     "quantization and grid sweeps on toy control tasks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate an offline dataset")
-    _add_settings(p, ("out", "seed"))
-    p.add_argument("--episodes-per-task", type=int, default=10)
-    p.add_argument("--policy", type=str, default="mixture",
-                   help="random | scripted | mixture | trained:<checkpoint>")
-    p.add_argument("--tasks", type=str, default=",".join(TASKS),
-                   help="comma-separated task list")
-
-    _add_run(sub, "train", "train a model from scratch",
-             {name for name, *_ in _SETTING_FLAGS} - set(DISTILL_SETTINGS))
-    _add_run(sub, "distill", "distill from a frozen teacher")
-
-    p = sub.add_parser("eval", help="score a checkpoint with planner rollouts")
-    _add_scoring(p)
-    p.add_argument("--tasks", type=str, default="",
-                   help="comma-separated subset; default: checkpoint metadata")
-
-    p = sub.add_parser("quantize", help="convert a checkpoint to f16 storage")
-    _add_scoring(p)
-    p.add_argument("--eval", action="store_true",
-                   help="also score float and f16 models side by side")
-
-    p = _add_run(sub, "sweep", "grid sweep over training cells")
-    p.add_argument("--grid-d-coef", type=str, default="",
-                   help=f"comma list; 'reference' = {DEFAULT_D_COEF_GRID}")
-    p.add_argument("--grid-batch-size", type=str, default="",
-                   help="comma list of batch sizes")
-    p.add_argument("--grid-steps", type=str, default="",
-                   help="comma list of step counts")
-    p.add_argument("--grid-teacher", type=str, default="",
-                   help="comma list of teacher checkpoints ('' cell = from scratch)")
+    for name, (help_text, add_flags, _) in COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -213,19 +223,27 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (help, function adding its flags, function running it)
+COMMANDS = {
+    "gen-data": ("generate an offline dataset", _gen_data_flags, _cmd_gen_data),
+    "train": ("train a model from scratch", _train_flags,
+              lambda args: _cmd_train(args, "train")),
+    "distill": ("distill from a frozen teacher", _add_run,
+                lambda args: _cmd_train(args, "distill")),
+    "eval": ("score a checkpoint with planner rollouts", _eval_flags, _cmd_eval),
+    "quantize": ("convert a checkpoint to f16 storage", _quantize_flags, _cmd_quantize),
+    "sweep": ("grid sweep over training cells", _sweep_flags, _cmd_sweep),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # anything but a known command first (--help, a typo) gets every command's
+    # parser, so its usage and errors list all six
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command in ("train", "distill"):
-            return _cmd_train(args, args.command)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "quantize":
-            return _cmd_quantize(args)
-        return _cmd_sweep(args)
+        return COMMANDS[args.command][2](args)
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,6 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, content_hash, read_checkpoint
 from .dataset import Dataset
+from .quantize import to_fp16
 from .seeding import stream
 from .world_model import (LossBreakdown, WorldModel, model_from_checkpoint,
                           stack_steps, train_step)
@@ -53,7 +54,10 @@ class FrozenTeacher:
     The fingerprint is the content hash of the teacher's checkpoint;
     refingerprint() re-serializes the in-memory weights against the same
     metadata, so any accidental mutation during distillation shows up as a
-    hash change.
+    hash change. An f16 teacher's weights are its file's halves widened to
+    f32. While each is still a half, `to_fp16` narrows them back exactly, to
+    the file's hash; once one is not, the f32 checkpoint is hashed instead,
+    which never equals an f16 file's hash.
     """
 
     def __init__(self, model: WorldModel, ckpt: Checkpoint):
@@ -62,6 +66,7 @@ class FrozenTeacher:
         self.model = model
         self.metadata = dict(ckpt.metadata)
         self.fingerprint = content_hash(ckpt)
+        self.f16 = any(entry.dtype == "f16" for entry in ckpt.tensors.values())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FrozenTeacher":
@@ -69,7 +74,12 @@ class FrozenTeacher:
         return cls(model_from_checkpoint(ckpt), ckpt)
 
     def refingerprint(self) -> str:
-        return content_hash(self.model.to_checkpoint(self.metadata))
+        ckpt = self.model.to_checkpoint(self.metadata)
+        if self.f16:
+            narrowed, report = to_fp16(ckpt)
+            if all(abs_err == 0.0 for abs_err, _ in report.per_tensor.values()):
+                ckpt = narrowed
+        return content_hash(ckpt)
 
 
 class LatentProjection:

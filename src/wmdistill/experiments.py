@@ -286,6 +286,15 @@ def _training_dataset(cfg: RunConfig) -> Dataset:
     return dataset
 
 
+def _check_teacher(path, metadata: Dict[str, str], dataset: Dataset) -> None:
+    """Raise UsageError unless the checkpoint at `path` is a model (f32 or
+    f16), not a trainstate, that reads `dataset`'s layout."""
+    if "step" in metadata:
+        raise UsageError(f"teacher {path} is a trainstate checkpoint; "
+                         "give its run's model.tdck (or its f16 copy)")
+    check_layout(path, metadata, dataset.tasks, dataset.obs_dim, dataset.act_dim)
+
+
 def run_training(cfg: RunConfig, command: str = "train") -> dict:
     """Shared from-scratch / distillation training loop."""
     t0 = time.perf_counter()
@@ -296,8 +305,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
         if not cfg.teacher:
             raise UsageError("distillation requires --teacher")
         teacher = FrozenTeacher.load(cfg.teacher)
-        check_layout(cfg.teacher, teacher.metadata, tasks, dataset.obs_dim,
-                     dataset.act_dim)
+        _check_teacher(cfg.teacher, teacher.metadata, dataset)
     trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,6 +338,7 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
 
     loss_rows = ["step,consistency,reward,value,distill,total"]
     metric_rows = ["step,metric,value,task"]
+    final_eval: Optional[EvalResult] = None
     for step in range(start_step, cfg.steps):
         rng = stream(cfg.seed, "batch", step)
         batch = sample_batch(dataset, cfg.batch_size, cfg.horizon, rng)
@@ -344,6 +353,8 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
             res = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
                                  planner_config(cfg), cfg.gamma, suite)
             metric_rows.extend(_metrics_rows(step + 1, res))
+            if step + 1 == cfg.steps:  # it scored the final model: the final eval
+                final_eval = res
 
     metadata = _train_metadata(cfg, tasks, teacher)
     model_hash = write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))
@@ -351,10 +362,10 @@ def run_training(cfg: RunConfig, command: str = "train") -> dict:
         out / "trainstate.tdck",
         _trainstate_checkpoint(model, opts, cfg.steps, metadata))
 
-    final_eval = None
     if cfg.eval_episodes > 0:
-        final_eval = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
-                                    planner_config(cfg), cfg.gamma, suite)
+        if final_eval is None:
+            final_eval = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
+                                        planner_config(cfg), cfg.gamma, suite)
         metric_rows.extend(_metrics_rows(cfg.steps, final_eval))
 
     if teacher is not None:
@@ -498,7 +509,7 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     for path in dict.fromkeys(t_axis):
         if path:
             md = read_checkpoint(path).metadata
-            check_layout(path, md, dataset.tasks, dataset.obs_dim, dataset.act_dim)
+            _check_teacher(path, md, dataset)
             labels[path] = md.get("preset", Path(path).stem)
     # every cell's config is built, and so checked, before the first cell runs
     cells = [replace(base, d_coef=d, batch_size=b, steps=s, teacher=t, resume="",

@@ -51,14 +51,23 @@ class QuantReport:
                 f"worst relative error {worst_rel:.3e}")
 
 
-def _to_half(x: np.ndarray, what: str) -> Tuple[np.ndarray, int]:
+def _to_half(x: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray, int]:
     """float32 -> binary16 (RNE, clamped at +-65504); rejects NaN, naming
-    `what`. Returns the halves and the number of clamped magnitudes."""
-    if np.isnan(x).any():
+    `what`. Returns the halves, |x| and the number of clamped magnitudes.
+
+    One max of |x| finds both a NaN (max propagates it) and an overflow, so
+    the clamp mask and the clamped copy are made only when a value overflows.
+    """
+    mag = np.abs(x)
+    peak = mag.max(initial=0.0)
+    if np.isnan(peak):
         raise QuantizationError(f"NaN value in {what}")
-    over = np.abs(x) > F16_MAX
-    clamped = np.where(over, np.copysign(np.float32(F16_MAX), x), x)
-    return clamped.astype(np.float16), int(over.sum())
+    over = 0
+    if peak > F16_MAX:
+        clamp = mag > F16_MAX
+        over = int(clamp.sum())
+        x = np.where(clamp, np.copysign(np.float32(F16_MAX), x), x)
+    return x.astype(np.float16), mag, over
 
 
 def fp16_round_trip(values: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -66,8 +75,8 @@ def fp16_round_trip(values: np.ndarray) -> Tuple[np.ndarray, int]:
 
     Returns the widened values and the number of clamped magnitudes.
     """
-    half, over = _to_half(np.asarray(values, dtype=np.float32),
-                          "input to fp16 conversion")
+    half, _, over = _to_half(np.asarray(values, dtype=np.float32),
+                             "input to fp16 conversion")
     return half.astype(np.float32), over
 
 
@@ -83,15 +92,15 @@ def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
             out.tensors[name] = TensorEntry(name, "f16", entry.shape, entry.data)
             continue
         x = entry.data
-        half, over = _to_half(x, f"tensor {name!r}")
+        half, mag, over = _to_half(x, f"tensor {name!r}")
         overflow += over
-        back = half.astype(np.float32)
-        abs_err = np.abs(back - x)
-        denom = np.abs(x)
-        rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err),
-                        where=denom > 0)
-        per_tensor[name] = (float(abs_err.max(initial=0.0)),
-                            float(rel.max(initial=0.0)))
+        err = half.astype(np.float32)
+        err -= x
+        np.abs(err, out=err)
+        abs_max = float(err.max(initial=0.0))
+        # relative error in place: where x is +-0 its half is exact, so err is 0
+        np.divide(err, mag, out=err, where=mag > 0)
+        per_tensor[name] = (abs_max, float(err.max(initial=0.0)))
         out.add_tensor(name, "f16", half.view(np.uint16))
     report = QuantReport(bytes_before, model_size_bytes(out), overflow, per_tensor)
     return out, report

@@ -20,6 +20,10 @@ which the package's replacement must match bit for bit:
   (`linear_ref`, `mish_ref`, `tanh_ref`), each with its own backward rule;
 - `AdamRef`: Adam stepping one parameter at a time;
 - `sample_batch_loop`: window sampling that copies one row at a time.
+
+`to_fp16_ref` is a frozen copy of the fp16 quantizer that makes a separate
+numpy pass for each of its masks, copies and errors; the fewer-pass
+`quantize.to_fp16` must give the same halves, errors and clamp count.
 """
 
 from typing import Callable, Dict, List, Tuple
@@ -27,7 +31,9 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 import wmdistill.autodiff as ad
+from wmdistill.checkpoint import Checkpoint, TensorEntry
 from wmdistill.dataset import TransitionBatch
+from wmdistill.quantize import F16_MAX, QuantizationError, QuantReport, model_size_bytes
 
 
 def mish64(x: np.ndarray) -> np.ndarray:
@@ -387,3 +393,36 @@ def sample_batch_loop(dataset, batch_size, horizon, rng):
         actions[i] = ep.actions[s:s + horizon]
         rewards[i] = ep.rewards[s:s + horizon]
     return TransitionBatch(obs, actions, rewards)
+
+
+def _to_half_ref(x, what):
+    if np.isnan(x).any():
+        raise QuantizationError(f"NaN value in {what}")
+    over = np.abs(x) > F16_MAX
+    clamped = np.where(over, np.copysign(np.float32(F16_MAX), x), x)
+    return clamped.astype(np.float16), int(over.sum())
+
+
+def to_fp16_ref(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
+    bytes_before = model_size_bytes(ckpt)
+    out = Checkpoint(metadata=dict(ckpt.metadata))
+    overflow = 0
+    per_tensor: Dict[str, Tuple[float, float]] = {}
+    for name in sorted(ckpt.tensors):
+        entry = ckpt.tensors[name]
+        if entry.dtype == "f16":
+            out.tensors[name] = TensorEntry(name, "f16", entry.shape, entry.data)
+            continue
+        x = entry.data
+        half, over = _to_half_ref(x, f"tensor {name!r}")
+        overflow += over
+        back = half.astype(np.float32)
+        abs_err = np.abs(back - x)
+        denom = np.abs(x)
+        rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err),
+                        where=denom > 0)
+        per_tensor[name] = (float(abs_err.max(initial=0.0)),
+                            float(rel.max(initial=0.0)))
+        out.add_tensor(name, "f16", half.view(np.uint16))
+    report = QuantReport(bytes_before, model_size_bytes(out), overflow, per_tensor)
+    return out, report

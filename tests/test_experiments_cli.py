@@ -1,6 +1,8 @@
 """Run orchestration and CLI: reports, CSV logs, resume, degeneration,
 sweep table, exit codes, score aggregation."""
 
+import contextlib
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -16,6 +18,7 @@ from wmdistill.distill import (FrozenTeacher, LatentProjection, distill_train_st
 from wmdistill.envs import MultiTaskSuite, TASKS, UsageError
 from wmdistill.evaluate import evaluate_model, normalized_score
 import wmdistill.checkpoint as checkpoint_module
+import wmdistill.cli as cli_module
 import wmdistill.experiments as experiments_module
 from wmdistill.experiments import (DISTILL_SETTINGS, ResumeMismatchError,
                                    RunConfig, SweepGrid, cli_flag, planner_config,
@@ -27,6 +30,36 @@ from wmdistill.world_model import (WorldModel, make_optimizers, model_from_check
 
 FAST = dict(steps=20, batch_size=8, log_interval=5, eval_every=0,
             eval_episodes=0, preset="student")
+
+
+@pytest.fixture(autouse=True)
+def one_command_parser_parses_as_the_full_parser(monkeypatch):
+    """`main` builds only its command's parser. For every argv a test of
+    this module passes to `main`, that parser must give the Namespace (or
+    the exit code) that the parser of all six commands gives."""
+    build = cli_module.build_parser
+
+    def checked(command=None):
+        parser = build(command)
+        one_command_parse = parser.parse_args
+
+        def parse_args(argv):
+            try:
+                args = one_command_parse(argv)
+            except SystemExit as exc:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()), \
+                        pytest.raises(SystemExit) as full:
+                    build().parse_args(argv)
+                assert full.value.code == exc.code
+                raise
+            assert args == build().parse_args(argv)
+            return args
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli_module, "build_parser", checked)
 
 
 @pytest.fixture(scope="module")
@@ -803,3 +836,130 @@ def test_failed_write_keeps_the_previous_file_and_no_temp_file(
         write(tmp_path, data_dir, teacher_ckpt, 1)
     assert path.read_bytes() == before
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# --- one command's parser ----------------------------------------------------
+
+COMMANDS = ("gen-data", "train", "distill", "eval", "quantize", "sweep")
+
+
+def test_top_level_help_and_errors_list_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    assert all(f"\n    {command} " in out for command in COMMANDS)
+    for argv in (["not-a-command"], [], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().err
+    assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_help()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_holds_that_command_alone(command, capsys):
+    parser = build_parser(command)
+    assert "{" + command + "}" in parser.format_help()
+    other = next(c for c in COMMANDS if c != command)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([other])
+    assert exc.value.code == EXIT_USAGE
+    assert f"invalid choice: '{other}'" in capsys.readouterr().err
+
+
+# --- teachers: f32 or f16 model checkpoints, never a trainstate --------------
+
+def _f16_teacher(teacher_ckpt, root):
+    run_quantize(teacher_ckpt, root / "quant")
+    return root / "quant" / "model.f16.tdck"
+
+
+def test_distill_from_an_f16_teacher_records_its_file_hash(data_dir, teacher_ckpt,
+                                                           tmp_path):
+    teacher = _f16_teacher(teacher_ckpt, tmp_path)
+    out = tmp_path / "run"
+    rc = main(["distill", "--dataset", str(data_dir), "--out", str(out),
+               "--teacher", str(teacher), "--steps", "3", "--batch-size", "4",
+               "--eval-episodes", "0", "--d-coef", "0.5"])
+    assert rc == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["teacher_fingerprint"] == file_hash(teacher)
+    assert read_checkpoint(out / "model.tdck").metadata["teacher_fingerprint"] \
+        == file_hash(teacher)
+    assert (out / "losses.csv").exists()
+    assert FrozenTeacher.load(teacher).refingerprint() == file_hash(teacher)
+
+
+# a step that changes the half, and one far below an f16 weight's resolution
+@pytest.mark.parametrize("nudge", [lambda w: w + 1.0,
+                                   lambda w: np.nextafter(w, np.float32(np.inf))])
+def test_write_to_an_f16_teachers_weight_is_caught(data_dir, teacher_ckpt, tmp_path,
+                                                   monkeypatch, nudge):
+    teacher = _f16_teacher(teacher_ckpt, tmp_path)
+    step = experiments_module.distill_train_step
+
+    def mutating_step(frozen, *args):
+        weight = frozen.model.heads()["reward"].weights[0].data
+        weight[0, 0] = nudge(weight[0, 0])
+        return step(frozen, *args)
+
+    monkeypatch.setattr(experiments_module, "distill_train_step", mutating_step)
+    cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"), seed=2,
+                    teacher=str(teacher), d_coef=0.5, **{**FAST, "steps": 1})
+    with pytest.raises(RuntimeError, match="frozen teacher was mutated"):
+        run_training(cfg, command="distill")
+
+
+def test_trainstate_teacher_is_usage_error(data_dir, teacher_ckpt, tmp_path, capsys):
+    trainstate = teacher_ckpt.parent / "trainstate.tdck"
+    out = tmp_path / "run"
+    rc = main(["distill", "--dataset", str(data_dir), "--out", str(out),
+               "--teacher", str(trainstate), "--steps", "1", "--batch-size", "4",
+               "--eval-episodes", "0", "--d-coef", "0.5"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(trainstate) in err and "trainstate" in err
+    assert not out.exists()
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "1",
+               "--eval-episodes", "0", "--grid-teacher", f"{teacher_ckpt},{trainstate}"])
+    assert rc == EXIT_USAGE
+    assert str(trainstate) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- the final eval ----------------------------------------------------------
+
+# (eval_every, the steps the loop evaluates at); a run of 10 steps
+@pytest.mark.parametrize("eval_every, periodic", [(-1, list(range(1, 11))),
+                                                  (5, [5, 10]), (4, [4, 8])])
+def test_final_eval_reuses_a_periodic_eval_at_the_last_step(data_dir, tmp_path,
+                                                            monkeypatch, eval_every,
+                                                            periodic):
+    calls = []
+    evaluate = experiments_module.evaluate_model
+
+    def counted(model, *args):
+        calls.append(model)
+        return evaluate(model, *args)
+
+    monkeypatch.setattr(experiments_module, "evaluate_model", counted)
+    cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"), seed=3,
+                    **{**FAST, "steps": 10, "eval_every": eval_every,
+                       "eval_episodes": 1}, **TINY_PLAN)
+    report = run_training(cfg, command="train")
+    assert len(calls) == len(periodic) + (periodic[-1] != 10)
+    rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+    steps = [int(row.split(",")[0]) for row in rows]
+    per_eval = len(rows) // (len(periodic) + 1)
+    assert steps == [s for s in periodic + [10] for _ in range(per_eval)]
+    if periodic[-1] == 10:
+        assert rows[-2 * per_eval:-per_eval] == rows[-per_eval:]
+    # the final rows score the written model
+    model = model_from_checkpoint(read_checkpoint(tmp_path / "run" / "model.tdck"))
+    tasks = load_dataset(data_dir).tasks
+    fresh = evaluate(model, list(tasks), 1, 3, planner_config(cfg), cfg.gamma,
+                     MultiTaskSuite(tuple(tasks)))
+    assert report["task_scores"] == fresh.task_scores
+    assert rows[-per_eval:] == experiments_module._metrics_rows(10, fresh)

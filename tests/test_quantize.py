@@ -20,6 +20,8 @@ from wmdistill.quantize import (F16_MAX, F16_MIN_SUBNORMAL, QuantizationError,
                                 fp16_round_trip, model_size_bytes, to_fp16)
 from wmdistill.world_model import WorldModel, model_from_checkpoint
 
+from oracle_refs import to_fp16_ref
+
 
 # --- independent bit-level binary16 reference -------------------------------
 
@@ -299,3 +301,51 @@ def test_dequantized_model_predictions_close_and_metadata_preserved():
     r16 = loaded.reward_np(loaded.encode_np(obs), act)
     # measured bound: error stays within 2^-10 of the prediction scale
     assert np.max(np.abs(r32 - r16)) <= 2.0 ** -10 * max(1e-3, np.max(np.abs(r32)))
+
+
+# --- the fewer-pass quantizer against its frozen predecessor -----------------
+
+def _adversarial_checkpoint():
+    above = np.nextafter(np.float32(F16_MAX), np.float32(np.inf))
+    tiny = np.float32(F16_MIN_SUBNORMAL)
+    ckpt = Checkpoint(metadata={"note": "adversarial"})
+    ckpt.add_tensor("edges", "f32", np.array(
+        [F16_MAX, -F16_MAX, above, -above, 65519.0, 65520.0, -1e9, 3.4e38,
+         0.0, -0.0, 1.0, -2.5], np.float32))
+    ckpt.add_tensor("subnormal", "f32", np.array(
+        [tiny, -tiny, tiny / 2, tiny * 0.75, 1e-40, -1e-45, 6.1e-5, 6.0e-5,
+         0.0], np.float32).reshape(3, 3))
+    ckpt.add_tensor("zeros", "f32", np.array([0.0, -0.0, 0.0], np.float32))
+    ckpt.add_tensor("empty", "f32", np.zeros((0, 4), np.float32))
+    ckpt.add_tensor("scalar", "f32", np.float32(-70000.0).reshape(()))
+    ckpt.add_tensor("halves", "f16", np.array([0x3C00, 0x7BFF, 0x8001], np.uint16))
+    return ckpt
+
+
+def _checkpoints():
+    yield "student", WorldModel(8, 1, "student", seed=0).to_checkpoint({"seed": "0"})
+    yield "teacher-L", WorldModel(8, 1, "teacher-L", seed=1).to_checkpoint({"seed": "1"})
+    yield "adversarial", _adversarial_checkpoint()
+    yield "empty", Checkpoint(metadata={})
+
+
+@pytest.mark.parametrize("name, ckpt", list(_checkpoints()),
+                         ids=[name for name, _ in _checkpoints()])
+def test_to_fp16_bitwise_equals_its_frozen_predecessor(name, ckpt):
+    ours, report = to_fp16(ckpt)
+    ref, want = to_fp16_ref(ckpt)
+    assert serialize(ours) == serialize(ref)
+    assert report.csv_rows() == want.csv_rows()
+    assert report.summary() == want.summary()
+    assert report.overflow_count == want.overflow_count
+    assert (report.bytes_before, report.bytes_after) == (want.bytes_before, want.bytes_after)
+    if name == "adversarial":
+        assert report.overflow_count == 7
+
+
+def test_nan_rejected_naming_tensor_like_its_predecessor():
+    ckpt = _adversarial_checkpoint()
+    ckpt.tensors["subnormal"].data[1, 1] = np.nan
+    for convert in (to_fp16, to_fp16_ref):
+        with pytest.raises(QuantizationError, match="NaN value in tensor 'subnormal'"):
+            convert(ckpt)
