@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, distill, eval, quantize, sweep. A run
 setting's flag is its RunConfig field (`--batch-size` is `batch_size`);
 train, distill and sweep also read settings from a --config key=value file,
-which explicit flags override. Exit codes: 0 ok, 1 runtime failure, 2 usage
-or missing input.
+which explicit flags override. train distills when it is given a teacher;
+distill is train with the teacher required. Exit codes: 0 ok, 1 runtime
+failure, 2 usage or missing input.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import List, Optional
 
 from .dataset import generate_dataset
 from .envs import TASKS
-from .experiments import (DEFAULT_D_COEF_GRID, DISTILL_SETTINGS,
-                          SCORING_SETTINGS, SETTING_TYPES, RunConfig, SweepGrid,
-                          UsageError, cli_flag, planner_config, read_config,
-                          run_eval, run_quantize, run_sweep, run_training)
+from .experiments import (DEFAULT_D_COEF_GRID, SCORING_SETTINGS, SETTING_TYPES,
+                          RunConfig, SweepGrid, UsageError, cli_flag, planner_config,
+                          read_config, run_eval, run_quantize, run_sweep, run_training)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -47,11 +47,11 @@ def _add_scoring(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--episodes", type=int, default=10)
 
 
-def _add_run(parser: argparse.ArgumentParser, names=None) -> None:
-    """A training subcommand's flags: --config plus the settings `names`."""
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    """A training subcommand's flags: --config plus every setting."""
     parser.add_argument("--config", type=str, default=None,
                         help="key=value config file; explicit flags win")
-    _add_settings(parser, names)
+    _add_settings(parser)
 
 
 def _gen_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,10 +61,6 @@ def _gen_data_flags(parser: argparse.ArgumentParser) -> None:
                         help="random | scripted | mixture | trained:<checkpoint>")
     parser.add_argument("--tasks", type=str, default=",".join(TASKS),
                         help="comma-separated task list")
-
-
-def _train_flags(parser: argparse.ArgumentParser) -> None:
-    _add_run(parser, {name for name, *_ in _SETTING_FLAGS} - set(DISTILL_SETTINGS))
 
 
 def _eval_flags(parser: argparse.ArgumentParser) -> None:
@@ -110,25 +106,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < --config file (train, distill and sweep) < explicit
-    flags into a RunConfig. Every command writes into --out, so it is required.
-
-    train refuses a config file that sets distillation, unless the file is a
-    train run's own record (a from-scratch sweep cell records its d_coef).
-    """
-    file_values, file_command = {}, None
+    flags into a RunConfig. Every command writes into --out, so it is required."""
+    file_values = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file {path} does not exist")
-        file_values, file_command = read_config(path)
+        file_values = read_config(path)
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if getattr(args, f.name, None) is not None}
     cfg = RunConfig(**{**file_values, **given})
-    distilling = [repr(name) for name in DISTILL_SETTINGS
-                  if getattr(cfg, name) != getattr(RunConfig, name)]
-    if args.command == "train" and file_command != "train" and distilling:
-        raise UsageError(f"config key(s) {', '.join(distilling)} set distillation, "
-                         "which train does not run; use distill")
     if not cfg.out:
         raise UsageError("an output directory is required (--out)")
     return cfg
@@ -173,12 +160,16 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args, command: str) -> int:
+def _cmd_train(args) -> int:
+    """train and distill: one runner, which distills when the run has a
+    teacher; distill refuses a run without one."""
     cfg = _training_config(args)
-    report = run_training(cfg, command=command)
+    if args.command == "distill" and not cfg.teacher:
+        raise UsageError("distill requires --teacher")
+    report = run_training(cfg)
     score = report["normalized_score"]
     shown = f"{score:.2f}" if score is not None else "n/a"
-    print(f"{command}: {cfg.steps} steps done, normalized score {shown}, "
+    print(f"{args.command}: {cfg.steps} steps done, normalized score {shown}, "
           f"model {report['checkpoint_hashes']['model'][:12]}")
     return EXIT_OK
 
@@ -226,10 +217,8 @@ def _cmd_sweep(args) -> int:
 # subcommand -> (help, function adding its flags, function running it)
 COMMANDS = {
     "gen-data": ("generate an offline dataset", _gen_data_flags, _cmd_gen_data),
-    "train": ("train a model from scratch", _train_flags,
-              lambda args: _cmd_train(args, "train")),
-    "distill": ("distill from a frozen teacher", _add_run,
-                lambda args: _cmd_train(args, "distill")),
+    "train": ("train a model; distill when given --teacher", _add_run, _cmd_train),
+    "distill": ("train with --teacher required", _add_run, _cmd_train),
     "eval": ("score a checkpoint with planner rollouts", _eval_flags, _cmd_eval),
     "quantize": ("convert a checkpoint to f16 storage", _quantize_flags, _cmd_quantize),
     "sweep": ("grid sweep over training cells", _sweep_flags, _cmd_sweep),

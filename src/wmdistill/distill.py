@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, content_hash, read_checkpoint
 from .dataset import Dataset
-from .quantize import to_fp16
+from .quantize import QuantizationError, to_fp16
 from .seeding import stream
 from .world_model import (LossBreakdown, WorldModel, model_from_checkpoint,
                           stack_steps, train_step)
@@ -56,8 +56,9 @@ class FrozenTeacher:
     metadata, so any accidental mutation during distillation shows up as a
     hash change. An f16 teacher's weights are its file's halves widened to
     f32. While each is still a half, `to_fp16` narrows them back exactly, to
-    the file's hash; once one is not, the f32 checkpoint is hashed instead,
-    which never equals an f16 file's hash.
+    the file's hash; once one is not (a NaN, which `to_fp16` refuses, among
+    them), the f32 checkpoint is hashed instead, which never equals an f16
+    file's hash.
     """
 
     def __init__(self, model: WorldModel, ckpt: Checkpoint):
@@ -76,7 +77,10 @@ class FrozenTeacher:
     def refingerprint(self) -> str:
         ckpt = self.model.to_checkpoint(self.metadata)
         if self.f16:
-            narrowed, report = to_fp16(ckpt)
+            try:
+                narrowed, report = to_fp16(ckpt)
+            except QuantizationError:  # a NaN weight: no longer the file's halves
+                return content_hash(ckpt)
             if all(abs_err == 0.0 for abs_err, _ in report.per_tensor.values()):
                 ckpt = narrowed
         return content_hash(ckpt)

@@ -88,8 +88,6 @@ _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 # a RunConfig field's annotation -> the type its flag and config value parse as
 SETTING_TYPES = {"int": int, "float": float, "str": str}
 
-# the settings that only distill and sweep offer
-DISTILL_SETTINGS = ("teacher", "d_coef", "mode", "latent_coef")
 # the settings eval and quantize score a stored checkpoint with
 SCORING_SETTINGS = ("out", "seed", "gamma", *(name for name, _ in _PLAN_FIELDS))
 
@@ -153,16 +151,16 @@ def write_config(path, cfg: RunConfig, command: str) -> None:
     write_atomic(path, [text_lines(lines)])
 
 
-def read_config(path) -> Tuple[Dict[str, object], Optional[str]]:
-    """Parse a key=value config file; returns (values, command-if-present),
-    each value of its RunConfig field's type.
+def read_config(path) -> Dict[str, object]:
+    """Parse a key=value config file into RunConfig values, each of its
+    field's type. A run's `command=` line is skipped: the teacher alone
+    decides whether a run distills.
 
     A line without `=`, a key that is not a RunConfig field or a value that
     does not parse as the field's type raises UsageError naming the file,
     the line and the key.
     """
     values: Dict[str, object] = {}
-    command = None
     types = {f.name: f.type for f in fields(RunConfig)}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
@@ -174,7 +172,6 @@ def read_config(path) -> Tuple[Dict[str, object], Optional[str]]:
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if key == "command":
-            command = value
             continue
         if key not in types:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -183,7 +180,7 @@ def read_config(path) -> Tuple[Dict[str, object], Optional[str]]:
         except ValueError:
             raise UsageError(f"{path}:{lineno}: config key {key!r} expects "
                              f"type {types[key]}, got {value!r}") from None
-    return values, command
+    return values
 
 
 # the RunConfig fields a trained checkpoint's metadata records; they hold
@@ -295,18 +292,25 @@ def _check_teacher(path, metadata: Dict[str, str], dataset: Dataset) -> None:
     check_layout(path, metadata, dataset.tasks, dataset.obs_dim, dataset.act_dim)
 
 
-def run_training(cfg: RunConfig, command: str = "train") -> dict:
-    """Shared from-scratch / distillation training loop."""
+def _check_distillation(cfg: RunConfig) -> None:
+    """Distillation requires a teacher: d_coef > 0 without one is a UsageError."""
+    if cfg.d_coef > 0 and not cfg.teacher:
+        raise UsageError(f"distillation requires --teacher: --d-coef is {cfg.d_coef}")
+
+
+def run_training(cfg: RunConfig) -> dict:
+    """The one training loop: it distills from `cfg.teacher` when one is
+    given and trains from scratch otherwise."""
     t0 = time.perf_counter()
+    _check_distillation(cfg)
     dataset = _training_dataset(cfg)
     tasks = list(dataset.tasks)
     teacher: Optional[FrozenTeacher] = None
-    if command == "distill":
-        if not cfg.teacher:
-            raise UsageError("distillation requires --teacher")
+    if cfg.teacher:
         teacher = FrozenTeacher.load(cfg.teacher)
         _check_teacher(cfg.teacher, teacher.metadata, dataset)
     trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
+    command = "distill" if teacher else "train"
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg, command)
@@ -515,14 +519,15 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     cells = [replace(base, d_coef=d, batch_size=b, steps=s, teacher=t, resume="",
                      out=str(out / f"cell{i:03d}_d{d}_b{b}_s{s}_{labels[t]}"))
              for i, (d, b, s, t) in enumerate(product(d_axis, b_axis, s_axis, t_axis))]
+    for cfg in cells:
+        _check_distillation(cfg)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for cfg in cells:
         cell_out = Path(cfg.out)
-        command = "distill" if cfg.teacher else "train"
         error = None
         try:
-            report = run_training(cfg, command=command)
+            report = run_training(cfg)
             score = report["normalized_score"]
             status = "ok"
         except Exception as exc:  # cell failures are recorded, sweep continues

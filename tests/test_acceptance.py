@@ -57,7 +57,7 @@ def teacher_L(accept_dataset, tmp_path_factory):
                     steps=20_000, batch_size=16, preset="teacher-L",
                     log_interval=1000, eval_every=0, eval_episodes=0)
     t0 = time.perf_counter()
-    run_training(cfg, command="train")
+    run_training(cfg)
     BUILD_TIMES["teacher_pretrain"] = time.perf_counter() - t0
     return out / "model.tdck"
 
@@ -69,7 +69,7 @@ def teacher_S_quick(accept_dataset, tmp_path_factory):
     cfg = RunConfig(dataset=str(accept_dataset), out=str(out), seed=SEED + 1,
                     steps=300, batch_size=16, preset="teacher-S",
                     log_interval=100, eval_every=0, eval_episodes=0)
-    run_training(cfg, command="train")
+    run_training(cfg)
     return out / "model.tdck"
 
 
@@ -82,7 +82,7 @@ def distilled_student(accept_dataset, teacher_L, tmp_path_factory):
                     teacher=str(teacher_L), log_interval=500, eval_every=0,
                     eval_episodes=0)
     t0 = time.perf_counter()
-    run_training(cfg, command="distill")
+    run_training(cfg)
     BUILD_TIMES["student_distill"] = time.perf_counter() - t0
     return out
 
@@ -193,12 +193,10 @@ def test_criterion_02_degeneration_equivalence(accept_dataset, teacher_S_quick,
     common = dict(dataset=str(accept_dataset), seed=SEED + 3, steps=1000,
                   batch_size=16, preset="student", log_interval=200,
                   eval_every=0, eval_episodes=0)
-    scratch = run_training(RunConfig(out=str(tmp_path / "scratch"), **common),
-                           command="train")
+    scratch = run_training(RunConfig(out=str(tmp_path / "scratch"), **common))
     distilled = run_training(RunConfig(out=str(tmp_path / "distill"),
                                        d_coef=0.0,
-                                       teacher=str(teacher_S_quick), **common),
-                             command="distill")
+                                       teacher=str(teacher_S_quick), **common))
     assert scratch["checkpoint_hashes"]["model"] \
         == distilled["checkpoint_hashes"]["model"]
     assert (tmp_path / "scratch" / "model.tdck").read_bytes() \
@@ -379,13 +377,11 @@ def test_criterion_09_determinism_and_resume(accept_dataset, distilled_student,
                   preset="student", log_interval=100, eval_every=0,
                   eval_episodes=0)
     full = run_training(RunConfig(out=str(tmp_path / "full"), steps=300,
-                                  **common), command="train")
-    run_training(RunConfig(out=str(tmp_path / "half"), steps=150, **common),
-                 command="train")
+                                  **common))
+    run_training(RunConfig(out=str(tmp_path / "half"), steps=150, **common))
     resumed = run_training(
         RunConfig(out=str(tmp_path / "resumed"), steps=300,
-                  resume=str(tmp_path / "half" / "trainstate.tdck"), **common),
-        command="train")
+                  resume=str(tmp_path / "half" / "trainstate.tdck"), **common))
     assert resumed["checkpoint_hashes"] == full["checkpoint_hashes"]
     assert (tmp_path / "full" / "model.tdck").read_bytes() \
         == (tmp_path / "resumed" / "model.tdck").read_bytes()

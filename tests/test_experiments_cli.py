@@ -20,10 +20,10 @@ from wmdistill.evaluate import evaluate_model, normalized_score
 import wmdistill.checkpoint as checkpoint_module
 import wmdistill.cli as cli_module
 import wmdistill.experiments as experiments_module
-from wmdistill.experiments import (DISTILL_SETTINGS, ResumeMismatchError,
-                                   RunConfig, SweepGrid, cli_flag, planner_config,
-                                   read_config, run_eval, run_quantize, run_sweep,
-                                   run_training, write_config)
+from wmdistill.experiments import (ResumeMismatchError, RunConfig, SweepGrid,
+                                   cli_flag, planner_config, read_config, run_eval,
+                                   run_quantize, run_sweep, run_training,
+                                   write_config)
 from wmdistill.planner import PlannerConfig
 from wmdistill.world_model import (WorldModel, make_optimizers, model_from_checkpoint,
                                    train_step)
@@ -75,7 +75,7 @@ def teacher_ckpt(tmp_path_factory, data_dir):
     cfg = RunConfig(dataset=str(data_dir), out=str(out), seed=9,
                     preset="teacher-S", **{k: v for k, v in FAST.items()
                                            if k != "preset"})
-    run_training(cfg, command="train")
+    run_training(cfg)
     return out / "model.tdck"
 
 
@@ -90,7 +90,7 @@ def test_normalized_score_exactness():
 def test_run_training_outputs(data_dir, tmp_path):
     cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"),
                     seed=1, **FAST)
-    report = run_training(cfg, command="train")
+    report = run_training(cfg)
     out = tmp_path / "run"
     losses = (out / "losses.csv").read_text().strip().splitlines()
     assert losses[0] == "step,consistency,reward,value,distill,total"
@@ -111,7 +111,7 @@ def test_identical_seeds_identical_reports(data_dir, tmp_path):
     for name in ("a", "b"):
         cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / name),
                         seed=77, **FAST)
-        reports.append(run_training(cfg, command="train"))
+        reports.append(run_training(cfg))
     a, b = reports
     assert a["checkpoint_hashes"] == b["checkpoint_hashes"]
     assert a["task_scores"] == b["task_scores"]
@@ -120,9 +120,10 @@ def test_identical_seeds_identical_reports(data_dir, tmp_path):
 def test_config_file_roundtrip_reproduces_run(data_dir, tmp_path):
     cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "orig"),
                     seed=13, **FAST)
-    report = run_training(cfg, command="train")
-    values, command = read_config(tmp_path / "orig" / "config.txt")
-    assert command == "train"
+    report = run_training(cfg)
+    config = tmp_path / "orig" / "config.txt"
+    assert config.read_text().splitlines()[0] == "command=train"
+    assert RunConfig(**read_config(config)) == cfg
     rc = main(["train", "--config", str(tmp_path / "orig" / "config.txt"),
                "--out", str(tmp_path / "again")])
     assert rc == EXIT_OK
@@ -134,11 +135,11 @@ def test_distill_dcoef_zero_matches_from_scratch_bitwise(data_dir, teacher_ckpt,
                                                          tmp_path):
     train_cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "scratch"),
                           seed=21, **FAST)
-    train_report = run_training(train_cfg, command="train")
+    train_report = run_training(train_cfg)
     distill_cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "distill"),
                             seed=21, d_coef=0.0, teacher=str(teacher_ckpt),
                             **FAST)
-    distill_report = run_training(distill_cfg, command="distill")
+    distill_report = run_training(distill_cfg)
     assert (train_report["checkpoint_hashes"]["model"]
             == distill_report["checkpoint_hashes"]["model"])
     assert (tmp_path / "scratch" / "model.tdck").read_bytes() \
@@ -148,17 +149,17 @@ def test_distill_dcoef_zero_matches_from_scratch_bitwise(data_dir, teacher_ckpt,
 def test_resume_equals_uninterrupted_bitwise(data_dir, tmp_path):
     full_cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "full"),
                          seed=31, **FAST)
-    full = run_training(full_cfg, command="train")
+    full = run_training(full_cfg)
 
     half = dict(FAST)
     half["steps"] = 10
     run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / "half"),
-                           seed=31, **half), command="train")
+                           seed=31, **half))
     resumed_cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "resumed"),
                             seed=31,
                             resume=str(tmp_path / "half" / "trainstate.tdck"),
                             **FAST)
-    resumed = run_training(resumed_cfg, command="train")
+    resumed = run_training(resumed_cfg)
     assert resumed["checkpoint_hashes"] == full["checkpoint_hashes"]
     assert (tmp_path / "full" / "model.tdck").read_bytes() \
         == (tmp_path / "resumed" / "model.tdck").read_bytes()
@@ -168,7 +169,7 @@ def _distill(data_dir, teacher_ckpt, out, mode, steps, resume=""):
     cfg = RunConfig(dataset=str(data_dir), out=str(out), seed=33, d_coef=0.5,
                     mode=mode, teacher=str(teacher_ckpt), resume=resume,
                     **{**FAST, "steps": steps})
-    run_training(cfg, command="distill")
+    run_training(cfg)
     return out
 
 
@@ -208,7 +209,7 @@ def test_distillation_reduces_teacher_student_gap(data_dir, teacher_ckpt,
                     d_coef=0.5, teacher=str(teacher_ckpt), steps=60,
                     batch_size=16, log_interval=10, eval_every=0,
                     eval_episodes=0, preset="student")
-    report = run_training(cfg, command="distill")
+    report = run_training(cfg)
     losses = (tmp_path / "d" / "losses.csv").read_text().strip().splitlines()
     first = float(losses[1].split(",")[4])
     last = float(losses[-1].split(",")[4])
@@ -296,7 +297,8 @@ def test_sweep_records_cell_failures_and_continues(data_dir, teacher_ckpt, tmp_p
     base = RunConfig(dataset=str(data_dir), out="", seed=52, steps=5,
                      batch_size=8, log_interval=5, eval_every=0,
                      eval_episodes=0, preset="student")
-    grid = SweepGrid(d_coefs=[0.4], batch_sizes=[],
+    # d_coef 0: the from-scratch ("") cell has no teacher to distill from
+    grid = SweepGrid(d_coefs=[0.0], batch_sizes=[],
                      steps_list=[], teachers=[str(broken), ""])
     report = run_sweep(base, grid, tmp_path / "sweep2")
     statuses = sorted(c["status"] for c in report["cells"])
@@ -549,10 +551,12 @@ def test_bad_training_setting_is_usage_error(data_dir, teacher_ckpt, tmp_path, c
     assert not out.exists()
 
 
-def test_sweep_grid_d_coef_out_of_range_runs_no_cell(data_dir, tmp_path, capsys):
+def test_sweep_grid_d_coef_out_of_range_runs_no_cell(data_dir, teacher_ckpt, tmp_path,
+                                                     capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "0",
-               "--eval-episodes", "0", "--grid-d-coef", "0.1,-1"])
+               "--eval-episodes", "0", "--teacher", str(teacher_ckpt),
+               "--grid-d-coef", "0.1,-1"])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: --d-coef must be >= 0, got -1")
     assert not out.exists()
@@ -594,18 +598,13 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
     assert [f.name for f in fields(RunConfig)] == list(NON_DEFAULT)
     assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
     write_config(tmp_path / "config.txt", cfg, "distill")
-    values, command = read_config(tmp_path / "config.txt")
-    assert command == "distill" and RunConfig(**values) == cfg
+    values = read_config(tmp_path / "config.txt")
+    assert RunConfig(**values) == cfg
     parser = build_parser()
     for command in ("train", "distill", "sweep"):
-        names = [n for n in NON_DEFAULT if command != "train" or n not in DISTILL_SETTINGS]
-        args = parser.parse_args([command, *(arg for n in names
+        args = parser.parse_args([command, *(arg for n in NON_DEFAULT
                                              for arg in (cli_flag(n), str(values[n])))])
-        assert {n: getattr(args, n) for n in names} == {n: NON_DEFAULT[n] for n in names}
-    for name in DISTILL_SETTINGS:
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["train", cli_flag(name), str(NON_DEFAULT[name])])
-        assert exc.value.code == EXIT_USAGE
+        assert {n: getattr(args, n) for n in NON_DEFAULT} == NON_DEFAULT
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "distill", "eval",
@@ -670,27 +669,39 @@ def test_generate_dataset_rejects_negative_seed(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+# train honours every distillation setting its config file gives: each file
+# asks it to distill (d_coef 0.5) without a teacher, or from a teacher file
+# that does not exist, and train refuses it before writing anything
 @pytest.mark.parametrize("line", ["d_coef=0.5", "mode=latent_pca", "latent_coef=2",
                                   "teacher=teacher.tdck"])
-def test_train_refuses_distillation_settings(data_dir, tmp_path, capsys, line):
+def test_train_refuses_distillation_settings(data_dir, tmp_path, monkeypatch, capsys,
+                                             line):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.txt"
-    config.write_text(f"{line}\n", encoding="utf-8")
+    config.write_text("".join(f"{key_value}\n" for key_value in
+                              dict.fromkeys(["d_coef=0.5", line])), encoding="utf-8")
     rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
                "--out", str(tmp_path / "run"), "--steps", "0", "--eval-episodes", "0"])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(line.split("=")[0]) in err
-    assert "use distill" in err
+    assert err.startswith("error: ")
+    if line.startswith("teacher="):
+        assert "teacher.tdck" in err
+    else:
+        assert "distillation requires --teacher: --d-coef is 0.5" in err
     assert not (tmp_path / "run").exists()
 
 
 def test_train_refuses_a_distill_runs_config(data_dir, tmp_path, capsys):
+    # a config's command= line is not read: without a teacher, its d_coef
+    # would distill from nothing
     config = tmp_path / "run.txt"
     config.write_text("command=distill\nd_coef=0.5\n", encoding="utf-8")
     rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
                "--out", str(tmp_path / "run"), "--steps", "0", "--eval-episodes", "0"])
     assert rc == EXIT_USAGE
-    assert "'d_coef'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--d-coef" in err and "--teacher" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -698,11 +709,12 @@ def test_sweep_cell_without_teacher_replays_from_its_config(data_dir, tmp_path):
     rc = main(["sweep", "--dataset", str(data_dir), "--out", str(tmp_path / "sweep"),
                "--seed", "54", "--steps", "5", "--batch-size", "8",
                "--log-interval", "5", "--eval-every", "0", "--eval-episodes", "0",
-               "--preset", "student", "--grid-d-coef", "0.4"])
+               "--preset", "student", "--grid-d-coef", "0"])
     assert rc == EXIT_OK
     [cell] = json.loads((tmp_path / "sweep" / "report.json").read_text())["cells"]
-    values, command = read_config(Path(cell["out_dir"]) / "config.txt")
-    assert (command, values["d_coef"]) == ("train", 0.4)
+    config = Path(cell["out_dir"]) / "config.txt"
+    assert config.read_text().splitlines()[0] == "command=train"
+    assert read_config(config)["d_coef"] == 0.0
     rc = main(["train", "--config", str(Path(cell["out_dir"]) / "config.txt"),
                "--out", str(tmp_path / "replay")])
     assert rc == EXIT_OK
@@ -758,7 +770,7 @@ def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt
         command, distill = "distill", {"d_coef": 0.5, "teacher": str(teacher_ckpt)}
         changed = {**distill, "teacher": str(done / changed["teacher"])}
     run_training(RunConfig(dataset=str(data_dir), out=str(done), seed=31,
-                           **FAST, **distill), command=command)
+                           **FAST, **distill))
     resume = done / resume
     rc = main(_resume_argv(command, data_dir, out, resume, steps, seed, changed))
     assert rc == EXIT_USAGE
@@ -768,8 +780,7 @@ def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt
     with pytest.raises(ResumeMismatchError, match=named):
         run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=seed,
                                resume=str(resume),
-                               **{**FAST, "steps": steps, **changed}),
-                     command=command)
+                               **{**FAST, "steps": steps, **changed}))
     assert not out.exists()
 
 
@@ -780,7 +791,7 @@ TINY_PLAN = dict(plan_horizon=1, plan_samples=8, plan_elites=2, plan_iterations=
 
 def _train_run(root, data_dir, teacher_ckpt, variant):
     run_training(RunConfig(dataset=str(data_dir), out=str(root / "run"), seed=variant,
-                           **{**FAST, "eval_episodes": 1}, **TINY_PLAN), command="train")
+                           **{**FAST, "eval_episodes": 1}, **TINY_PLAN))
 
 
 def _eval_run(root, data_dir, teacher_ckpt, variant):
@@ -790,8 +801,7 @@ def _eval_run(root, data_dir, teacher_ckpt, variant):
 
 def _quantize_run(root, data_dir, teacher_ckpt, variant):
     model = root / f"model{variant}"
-    run_training(RunConfig(dataset=str(data_dir), out=str(model), seed=variant, **FAST),
-                 command="train")
+    run_training(RunConfig(dataset=str(data_dir), out=str(model), seed=variant, **FAST))
     run_quantize(model / "model.tdck", root / "quant")
 
 
@@ -892,24 +902,28 @@ def test_distill_from_an_f16_teacher_records_its_file_hash(data_dir, teacher_ckp
     assert FrozenTeacher.load(teacher).refingerprint() == file_hash(teacher)
 
 
-# a step that changes the half, and one far below an f16 weight's resolution
+# a step that changes the half, one far below an f16 weight's resolution, and
+# a NaN, which no half narrows back to
 @pytest.mark.parametrize("nudge", [lambda w: w + 1.0,
-                                   lambda w: np.nextafter(w, np.float32(np.inf))])
+                                   lambda w: np.nextafter(w, np.float32(np.inf)),
+                                   lambda w: np.float32(np.nan)])
 def test_write_to_an_f16_teachers_weight_is_caught(data_dir, teacher_ckpt, tmp_path,
                                                    monkeypatch, nudge):
     teacher = _f16_teacher(teacher_ckpt, tmp_path)
     step = experiments_module.distill_train_step
 
     def mutating_step(frozen, *args):
+        # written after the step, so that a NaN reaches no loss
+        breakdown = step(frozen, *args)
         weight = frozen.model.heads()["reward"].weights[0].data
         weight[0, 0] = nudge(weight[0, 0])
-        return step(frozen, *args)
+        return breakdown
 
     monkeypatch.setattr(experiments_module, "distill_train_step", mutating_step)
     cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"), seed=2,
                     teacher=str(teacher), d_coef=0.5, **{**FAST, "steps": 1})
     with pytest.raises(RuntimeError, match="frozen teacher was mutated"):
-        run_training(cfg, command="distill")
+        run_training(cfg)
 
 
 def test_trainstate_teacher_is_usage_error(data_dir, teacher_ckpt, tmp_path, capsys):
@@ -948,7 +962,7 @@ def test_final_eval_reuses_a_periodic_eval_at_the_last_step(data_dir, tmp_path,
     cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"), seed=3,
                     **{**FAST, "steps": 10, "eval_every": eval_every,
                        "eval_episodes": 1}, **TINY_PLAN)
-    report = run_training(cfg, command="train")
+    report = run_training(cfg)
     assert len(calls) == len(periodic) + (periodic[-1] != 10)
     rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
     steps = [int(row.split(",")[0]) for row in rows]
@@ -963,3 +977,110 @@ def test_final_eval_reuses_a_periodic_eval_at_the_last_step(data_dir, tmp_path,
                      MultiTaskSuite(tuple(tasks)))
     assert report["task_scores"] == fresh.task_scores
     assert rows[-per_eval:] == experiments_module._metrics_rows(10, fresh)
+
+
+# --- one training command: a teacher alone turns distillation on -------------
+
+RUN_FILES = ("config.txt", "model.tdck", "trainstate.tdck", "losses.csv", "metrics.csv")
+
+
+def _run_in(root, monkeypatch, argv):
+    """`main(argv)` in directory `root`, which it makes: a relative --out
+    then records the same `out=` line in every directory."""
+    root.mkdir()
+    monkeypatch.chdir(root)
+    assert main(argv) == EXIT_OK
+    return root / "run"
+
+
+def _same_run(a, b):
+    for name in RUN_FILES:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _distill_argv(command, data_dir, teacher_ckpt, *extra):
+    return [command, "--dataset", str(data_dir), "--out", "run", "--seed", "61",
+            "--steps", "10", "--batch-size", "8", "--log-interval", "5",
+            "--eval-every", "5", "--eval-episodes", "1",
+            *(arg for key, value in TINY_PLAN.items() for arg in (cli_flag(key), str(value))),
+            "--teacher", str(teacher_ckpt), "--d-coef", "0.5", *extra]
+
+
+def test_train_from_a_distill_runs_config_equals_that_run(data_dir, teacher_ckpt,
+                                                          tmp_path, monkeypatch):
+    distilled = _run_in(tmp_path / "a", monkeypatch,
+                        _distill_argv("distill", data_dir, teacher_ckpt,
+                                      "--mode", "latent_linear"))
+    replayed = _run_in(tmp_path / "b", monkeypatch,
+                       ["train", "--config", str(distilled / "config.txt"),
+                        "--out", "run"])
+    assert (distilled / "config.txt").read_text().splitlines()[0] == "command=distill"
+    assert "latent_proj.w" in read_checkpoint(replayed / "trainstate.tdck").tensors
+    _same_run(distilled, replayed)
+
+
+def test_train_with_a_teacher_equals_distill(data_dir, teacher_ckpt, tmp_path,
+                                             monkeypatch):
+    distilled = _run_in(tmp_path / "a", monkeypatch,
+                        _distill_argv("distill", data_dir, teacher_ckpt))
+    trained = _run_in(tmp_path / "b", monkeypatch,
+                      _distill_argv("train", data_dir, teacher_ckpt))
+    report = json.loads((trained / "report.json").read_text())
+    assert (report["command"], report["teacher_fingerprint"]) \
+        == ("distill", file_hash(teacher_ckpt))
+    _same_run(distilled, trained)
+
+
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_distill_without_a_teacher_is_usage_error(data_dir, tmp_path, capsys, by):
+    out = tmp_path / "run"
+    argv = ["distill", "--dataset", str(data_dir), "--out", str(out), "--steps", "1",
+            "--batch-size", "4", "--eval-episodes", "0", "--d-coef", "0.5"]
+    if by == "config":
+        config = tmp_path / "run.txt"
+        config.write_text("command=distill\nd_coef=0.5\nmode=latent_pca\n",
+                          encoding="utf-8")
+        argv = argv[:-2] + ["--config", str(config)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: distill requires --teacher")
+    assert not out.exists()
+
+
+def test_train_distillation_without_a_teacher_is_usage_error(data_dir, tmp_path,
+                                                             capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--dataset", str(data_dir), "--out", str(out), "--steps", "1",
+               "--batch-size", "4", "--eval-episodes", "0", "--d-coef", "0.5"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: distillation requires --teacher: --d-coef is 0.5")
+    assert not out.exists()
+    with pytest.raises(UsageError, match="--teacher"):
+        run_training(RunConfig(dataset=str(data_dir), out=str(out), d_coef=0.5, **FAST))
+    assert not out.exists()
+
+
+def test_train_without_a_teacher_ignores_the_latent_settings(data_dir, tmp_path):
+    argv = ["train", "--dataset", str(data_dir), "--steps", "5", "--batch-size", "8",
+            "--log-interval", "5", "--eval-episodes", "0", "--seed", "62"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "latent"), "--mode", "latent_pca",
+                        "--latent-coef", "2"]) == EXIT_OK
+    # the metadata records the settings; the weights and losses are the same
+    plain, latent = (read_checkpoint(tmp_path / run / "model.tdck").tensors
+                     for run in ("plain", "latent"))
+    assert {n: t.data.tobytes() for n, t in plain.items()} \
+        == {n: t.data.tobytes() for n, t in latent.items()}
+    assert (tmp_path / "plain" / "losses.csv").read_bytes() \
+        == (tmp_path / "latent" / "losses.csv").read_bytes()
+
+
+def test_sweep_without_a_teacher_refuses_distillation_before_any_cell(data_dir,
+                                                                      tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "1",
+               "--batch-size", "4", "--eval-episodes", "0", "--grid-d-coef", "0,0.4"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: distillation requires --teacher: --d-coef is 0.4")
+    assert not out.exists()

@@ -12,6 +12,8 @@ the package imported from that checkout's src/, it runs at a fixed seed:
                reward_only, latent_linear and latent_pca modes, the
                latent_linear run once more, resumed from a 30-step
                trainstate, and a reward_only student with tanh activations
+    sweep      a student sweep against that teacher with d_coef 0 and 0.5,
+               batch 32 (or B), 60 steps each
     quantize   the reward_only student to f16
     eval       the f16 student, one episode per task, the f32 teacher, one
                pendulum-swingup episode (the 256-wide planner path), and the
@@ -19,15 +21,17 @@ the package imported from that checkout's src/, it runs at a fixed seed:
 
 and compares the dataset's bytes and its content, the model.tdck and
 trainstate.tdck hashes and the config.txt, losses.csv and metrics.csv bytes
-of every training run (the resumed one included), the f16 checkpoint hash
-and quant_report.csv, the f16 task scores, the teacher's score and both
-evals' metrics.csv. Within each checkout the config-replay model must
-also equal the teacher's, byte for byte. The dataset's content is hashed by the checkout's own
-load_dataset: the packed obs, actions and rewards bytes plus each episode's
-task, policy, seed and length, so a change of container is checked on what
-it holds. It prints one line per item and, last, one JSON object
-with every value of both sides. Exit status 0 when everything agrees, 1
-when anything differs, 2 when a command fails.
+of every training run (the resumed one and each sweep cell included), the
+sweep.csv bytes (not report.json's, which hold the wall clock), the f16
+checkpoint hash and quant_report.csv, the f16 task scores, the teacher's
+score and both evals' metrics.csv. Within each checkout the config-replay
+model must also equal the teacher's, byte for byte. The dataset's content
+is hashed by the checkout's own load_dataset: the packed obs, actions and
+rewards bytes plus each episode's task, policy, seed and length, so a
+change of container is checked on what it holds. It prints one line per
+item and, last, one JSON object with every value of both sides. Exit
+status 0 when everything agrees, 1 when anything differs, 2 when a command
+fails.
 """
 
 from __future__ import annotations
@@ -126,6 +130,12 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     values.update(training("latent_linear-resumed"))
     distill("reward_only", "tanh", "60", "--activation", "tanh")
     values.update(training("tanh"))
+    cli("sweep", "--dataset", "data", "--out", "sweep", "--teacher", "teacher/model.tdck",
+        "--preset", "student", "--steps", "60", "--batch-size", str(batch or 32),
+        "--seed", s, "--grid-d-coef", "0,0.5", *TRAIN_FLAGS)
+    values["sweep.sweep_csv"] = _sha256(work / "sweep" / "sweep.csv")
+    for cell in sorted(p for p in (work / "sweep").iterdir() if p.is_dir()):
+        values.update(training(f"sweep/{cell.name}"))
     cli("quantize", "--checkpoint", "reward_only/model.tdck", "--out", "quant",
         "--seed", s)
     values["f16.hash"] = json.loads((work / "quant" / "report.json").read_text())["f16_hash"]
@@ -169,16 +179,18 @@ def main(argv=None) -> int:
         return 2
     parent, change = sides["parent"], sides["change"]
     same = True
-    for key in sorted(set(parent) | set(change)):
+    keys = sorted(set(parent) | set(change))
+    width = max(map(len, keys))
+    for key in keys:
         a, b = parent.get(key), change.get(key)
         same &= a == b
-        print(f"{key:32s} {'same     ' if a == b else 'DIFFERENT'} {a}"
+        print(f"{key:{width}s} {'same     ' if a == b else 'DIFFERENT'} {a}"
               + ("" if a == b else f" -> {b}"))
     for side, values in sides.items():
         replayed = values["config-replay.model"] == values["teacher.model"]
         same &= replayed
-        print(f"{side + ' config-replay':32s} {'same     ' if replayed else 'DIFFERENT'} "
-              "model.tdck against teacher.model")
+        print(f"{side + ' config-replay':{width}s} "
+              f"{'same     ' if replayed else 'DIFFERENT'} model.tdck against teacher.model")
     print(json.dumps({"seed": args.seed, "batch_size": args.batch_size,
                       "identical": same, **sides}, sort_keys=True))
     return 0 if same else 1
