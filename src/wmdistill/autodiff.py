@@ -82,9 +82,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False, _validate=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _ensure_grad(self) -> np.ndarray:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -631,9 +628,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-    def state_arrays(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return list(zip(self.m, self.v))
 
     def load_state(self, moments: Sequence[Tuple[np.ndarray, np.ndarray]], t: int) -> None:
         if len(moments) != len(self.params):

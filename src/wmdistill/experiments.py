@@ -10,12 +10,13 @@ Every run writes into its output directory, each file through
                      step,consistency,reward,value,distill,total
     metrics.csv      long-form plot data: step,metric,value,task
     model.tdck       final weights (including the target head)
-    trainstate.tdck  weights + Adam moments + step counter, for resume
+    trainstate.tdck  weights + Adam moments + step counter + the loss and
+                     periodic-eval metric rows so far, for resume
     report.json      scores, checkpoint hashes, wall clock, config snapshot
 
 Batches are sampled from per-step derived rng streams, so resuming from a
 trainstate checkpoint continues the exact batch sequence of an
-uninterrupted run.
+uninterrupted run, and its rows continue the uninterrupted run's CSVs.
 """
 
 from __future__ import annotations
@@ -156,11 +157,12 @@ def read_config(path) -> Dict[str, object]:
     field's type. A run's `command=` line is skipped: the teacher alone
     decides whether a run distills.
 
-    A line without `=`, a key that is not a RunConfig field or a value that
-    does not parse as the field's type raises UsageError naming the file,
-    the line and the key.
+    A line without `=`, a key that is not a RunConfig field or that an
+    earlier line gave, or a value that does not parse as the field's type
+    raises UsageError naming the file, the line and the key.
     """
     values: Dict[str, object] = {}
+    given_at: Dict[str, int] = {}
     types = {f.name: f.type for f in fields(RunConfig)}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
@@ -175,6 +177,10 @@ def read_config(path) -> Dict[str, object]:
             continue
         if key not in types:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in given_at:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} is given twice, "
+                             f"first at line {given_at[key]}")
+        given_at[key] = lineno
         try:
             values[key] = SETTING_TYPES[types[key]](value)
         except ValueError:
@@ -203,16 +209,22 @@ def _train_metadata(cfg: RunConfig, tasks: Sequence[str],
 # make_optimizers' order
 _ADAM_KEYS = ("adam_main", "adam_policy")
 
+# the metadata keys of a trainstate's losses.csv and metrics.csv rows so far,
+# header first, joined by ";"
+_ROW_KEYS = ("loss_rows", "metric_rows")
+
 
 def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
-                           metadata: Dict[str, str]) -> Checkpoint:
-    """The model checkpoint plus, per optimizer, its step counter and the
-    moments of each parameter under `<key>.{m,v}.<parameter name>`; a
-    parameter the model does not hold (the latent projection) is stored
-    under its own name."""
+                           metadata: Dict[str, str],
+                           rows: Sequence[List[str]]) -> Checkpoint:
+    """The model checkpoint plus the run's loss and metric `rows` up to
+    `step` and, per optimizer, its step counter and the moments of each
+    parameter under `<key>.{m,v}.<parameter name>`; a parameter the model
+    does not hold (the latent projection) is stored under its own name."""
     ckpt = model.to_checkpoint({**metadata, "step": str(step),
                                 **{f"{key}_t": str(opt.t)
-                                   for key, opt in zip(_ADAM_KEYS, opts)}})
+                                   for key, opt in zip(_ADAM_KEYS, opts)},
+                                **{key: ";".join(r) for key, r in zip(_ROW_KEYS, rows)}})
     for key, opt in zip(_ADAM_KEYS, opts):
         for p, m, v in zip(opt.params, opt.m, opt.v):
             if p.name not in ckpt.tensors:
@@ -224,13 +236,15 @@ def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
 
 def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
                      teacher: Optional[FrozenTeacher]) -> Checkpoint:
-    """The --resume trainstate, once it is known to continue this run: its
-    training metadata (all but `steps`), preset, activation and teacher
-    fingerprint must equal the run's."""
+    """The --resume trainstate, once it is known to continue this run: it
+    holds a step and the rows so far, and its training metadata (all but
+    `steps`), preset, activation and teacher fingerprint equal the run's."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
-    if "step" not in md:
-        raise ResumeMismatchError(f"{cfg.resume} is not a trainstate checkpoint")
+    missing = [key for key in ("step", *_ROW_KEYS) if key not in md]
+    if missing:
+        raise ResumeMismatchError(f"{cfg.resume} is not a trainstate this version "
+                                  f"resumes: it holds no {', '.join(missing)}")
     want = {**_train_metadata(cfg, tasks, teacher),
             "preset": cfg.preset, "activation": cfg.activation}
     del want["steps"]
@@ -247,9 +261,10 @@ def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
     return ckpt
 
 
-def _load_trainstate(ckpt: Checkpoint, model: WorldModel,
-                     opts: Sequence[Adam]) -> int:
-    """Restore what `_trainstate_checkpoint` stored, in place; returns the step."""
+def _load_trainstate(ckpt: Checkpoint, model: WorldModel, opts: Sequence[Adam]
+                     ) -> Tuple[int, List[str], List[str]]:
+    """Restore what `_trainstate_checkpoint` stored, the weights and moments
+    in place; returns the step and the loss and metric rows."""
     held = dict(model.named_parameters())
     for p in [*held.values(), *(p for opt in opts for p in opt.params if p.name not in held)]:
         load_param(ckpt, p)
@@ -257,7 +272,8 @@ def _load_trainstate(ckpt: Checkpoint, model: WorldModel,
         opt.load_state([(ckpt.get(f"{key}.m.{p.name}").as_f32(),
                          ckpt.get(f"{key}.v.{p.name}").as_f32())
                         for p in opt.params], int(ckpt.metadata[f"{key}_t"]))
-    return int(ckpt.metadata["step"])
+    loss_rows, metric_rows = (ckpt.metadata[key].split(";") for key in _ROW_KEYS)
+    return int(ckpt.metadata["step"]), loss_rows, metric_rows
 
 
 def _write_report(out: Path, report: dict) -> None:
@@ -333,15 +349,15 @@ def run_training(cfg: RunConfig) -> dict:
     extra = projection.params() if isinstance(projection, LatentProjection) else None
     opts = make_optimizers(model, cfg.lr, extra)
     start_step = 0
+    loss_rows = ["step,consistency,reward,value,distill,total"]
+    metric_rows = ["step,metric,value,task"]
     if trainstate is not None:
-        start_step = _load_trainstate(trainstate, model, opts)
+        start_step, loss_rows, metric_rows = _load_trainstate(trainstate, model, opts)
 
     eval_every = cfg.eval_every
     if eval_every < 0:
         eval_every = cfg.steps // 10 if cfg.steps >= 10 else 0
 
-    loss_rows = ["step,consistency,reward,value,distill,total"]
-    metric_rows = ["step,metric,value,task"]
     final_eval: Optional[EvalResult] = None
     for step in range(start_step, cfg.steps):
         rng = stream(cfg.seed, "batch", step)
@@ -360,23 +376,24 @@ def run_training(cfg: RunConfig) -> dict:
             if step + 1 == cfg.steps:  # it scored the final model: the final eval
                 final_eval = res
 
+    if teacher is not None:
+        after = teacher.refingerprint()
+        if after != teacher.fingerprint:
+            raise RuntimeError("frozen teacher was mutated during distillation "
+                               f"({teacher.fingerprint} -> {after})")
+
     metadata = _train_metadata(cfg, tasks, teacher)
     model_hash = write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))
+    # the final eval's rows belong to the run's end, not to step cfg.steps
     state_hash = write_checkpoint(
         out / "trainstate.tdck",
-        _trainstate_checkpoint(model, opts, cfg.steps, metadata))
+        _trainstate_checkpoint(model, opts, cfg.steps, metadata, (loss_rows, metric_rows)))
 
     if cfg.eval_episodes > 0:
         if final_eval is None:
             final_eval = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
                                         planner_config(cfg), cfg.gamma, suite)
         metric_rows.extend(_metrics_rows(cfg.steps, final_eval))
-
-    if teacher is not None:
-        after = teacher.refingerprint()
-        if after != teacher.fingerprint:
-            raise RuntimeError("frozen teacher was mutated during distillation "
-                               f"({teacher.fingerprint} -> {after})")
 
     write_atomic(out / "losses.csv", [text_lines(loss_rows)])
     write_atomic(out / "metrics.csv", [text_lines(metric_rows)])
@@ -487,17 +504,13 @@ class SweepGrid:
     steps_list: List[int]
     teachers: List[str]        # checkpoint paths; "" means from scratch
 
-    def is_empty(self) -> bool:
-        return not (self.d_coefs or self.batch_sizes or self.steps_list
-                    or self.teachers)
-
 
 DEFAULT_D_COEF_GRID = (0.05, 0.25, 0.4, 0.55, 0.6, 0.9)
 
 
 def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     """One training run per grid cell; aggregated CSV sorted by score."""
-    if grid.is_empty():
+    if not (grid.d_coefs or grid.batch_sizes or grid.steps_list or grid.teachers):
         raise UsageError("sweep grid is empty: give at least one --grid-* axis")
     t0 = time.perf_counter()
     out = Path(out)

@@ -117,10 +117,6 @@ class MLP:
             out.extend([w, b])
         return out
 
-    def set_trainable(self, trainable: bool) -> None:
-        for p in self.params():
-            p.requires_grad = trainable
-
 
 _HEADS = ("encoder", "dynamics", "reward", "value", "policy", "target_value")
 
@@ -159,7 +155,8 @@ class WorldModel:
         if ckpt is None:
             for ps, pd in zip(self.value.params(), self.target_value.params()):
                 pd.data[...] = ps.data
-        self.target_value.set_trainable(False)
+        for p in self.target_value.params():
+            p.requires_grad = False
 
     # --- graph forward (training) ---
 
@@ -242,12 +239,8 @@ class WorldModel:
         return [(p.name, p) for name in _HEADS for p in getattr(self, name).params()]
 
     def zero_grad(self) -> None:
-        for name in _HEADS:
-            mlp = getattr(self, name)
-            for p in mlp.weights:
-                p.grad = None
-            for p in mlp.biases:
-                p.grad = None
+        for _, p in self.named_parameters():
+            p.grad = None
 
     def soft_update_target(self, tau: float) -> None:
         t32 = np.float32(tau)

@@ -383,8 +383,9 @@ def test_criterion_09_determinism_and_resume(accept_dataset, distilled_student,
         RunConfig(out=str(tmp_path / "resumed"), steps=300,
                   resume=str(tmp_path / "half" / "trainstate.tdck"), **common))
     assert resumed["checkpoint_hashes"] == full["checkpoint_hashes"]
-    assert (tmp_path / "full" / "model.tdck").read_bytes() \
-        == (tmp_path / "resumed" / "model.tdck").read_bytes()
+    for name in ("model.tdck", "trainstate.tdck", "losses.csv", "metrics.csv"):
+        assert (tmp_path / "full" / name).read_bytes() \
+            == (tmp_path / "resumed" / name).read_bytes(), name
     _report("criterion 9 determinism and resume")
 
 

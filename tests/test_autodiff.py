@@ -517,7 +517,7 @@ class TestAdam:
         p.grad = np.array([0.3, -0.7], dtype=np.float32)
         opt.step()
         opt2 = Adam([p], lr=1e-2)
-        opt2.load_state(opt.state_arrays(), opt.t)
+        opt2.load_state(list(zip(opt.m, opt.v)), opt.t)
         assert opt2.t == opt.t
         assert np.array_equal(opt2.m[0], opt.m[0])
         assert np.array_equal(opt2.v[0], opt.v[0])

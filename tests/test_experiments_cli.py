@@ -146,23 +146,42 @@ def test_distill_dcoef_zero_matches_from_scratch_bitwise(data_dir, teacher_ckpt,
         == (tmp_path / "distill" / "model.tdck").read_bytes()
 
 
-def test_resume_equals_uninterrupted_bitwise(data_dir, tmp_path):
-    full_cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "full"),
-                         seed=31, **FAST)
-    full = run_training(full_cfg)
+RUN_FILES = ("config.txt", "model.tdck", "trainstate.tdck", "losses.csv", "metrics.csv")
+# a resumed run's config.txt records its --resume and --out; the rest of its
+# files equal the uninterrupted run's
+RESUMED_FILES = RUN_FILES[1:]
 
-    half = dict(FAST)
-    half["steps"] = 10
-    run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / "half"),
-                           seed=31, **half))
-    resumed_cfg = RunConfig(dataset=str(data_dir), out=str(tmp_path / "resumed"),
-                            seed=31,
-                            resume=str(tmp_path / "half" / "trainstate.tdck"),
-                            **FAST)
-    resumed = run_training(resumed_cfg)
+
+def _same_run(a, b, names=RUN_FILES):
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _resumed_train(data_dir, root, **settings):
+    """A 20-step train run and the same run resumed from a 10-step run's
+    trainstate, whose files must be the same; returns the resumed run's dir."""
+    def run(name, steps, resume=""):
+        return run_training(RunConfig(dataset=str(data_dir), out=str(root / name),
+                                      seed=31, resume=resume,
+                                      **{**FAST, **settings, "steps": steps}))
+
+    full = run("full", 20)
+    run("half", 10)
+    resumed = run("resumed", 20, str(root / "half" / "trainstate.tdck"))
     assert resumed["checkpoint_hashes"] == full["checkpoint_hashes"]
-    assert (tmp_path / "full" / "model.tdck").read_bytes() \
-        == (tmp_path / "resumed" / "model.tdck").read_bytes()
+    _same_run(root / "full", root / "resumed", RESUMED_FILES)
+    return root / "resumed"
+
+
+def test_resume_equals_uninterrupted_bitwise(data_dir, tmp_path):
+    _resumed_train(data_dir, tmp_path)
+
+
+def test_resume_carries_the_periodic_eval_rows(data_dir, tmp_path):
+    resumed = _resumed_train(data_dir, tmp_path, eval_every=5, eval_episodes=1,
+                             **TINY_PLAN)
+    rows = (resumed / "metrics.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"5", "10", "15", "20"}
 
 
 def _distill(data_dir, teacher_ckpt, out, mode, steps, resume=""):
@@ -180,8 +199,7 @@ def test_distill_resume_equals_uninterrupted_bitwise(data_dir, teacher_ckpt,
     half = _distill(data_dir, teacher_ckpt, tmp_path / "half", mode, 10)
     resumed = _distill(data_dir, teacher_ckpt, tmp_path / "resumed", mode, 20,
                        resume=str(half / "trainstate.tdck"))
-    for name in ("model.tdck", "trainstate.tdck"):
-        assert (resumed / name).read_bytes() == (full / name).read_bytes()
+    _same_run(full, resumed, RESUMED_FILES)
 
 
 def test_trainstate_tensors_are_named_by_their_parameters(data_dir, teacher_ckpt,
@@ -743,6 +761,19 @@ def test_config_value_of_wrong_type_is_usage_error(data_dir, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_config_key_given_twice_is_usage_error(data_dir, tmp_path, capsys):
+    config = tmp_path / "run.txt"
+    config.write_text("steps=5\nd_coef=0.5\nsteps=7\n", encoding="utf-8")
+    with pytest.raises(UsageError) as exc:
+        read_config(config)
+    assert str(exc.value) == f"{config}:3: config key 'steps' is given twice, first at line 1"
+    rc = main(["train", "--config", str(config), "--dataset", str(data_dir),
+               "--out", str(tmp_path / "run"), "--eval-episodes", "0"])
+    assert rc == EXIT_USAGE
+    assert f"{config}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
     return [command, "--dataset", str(data_dir), "--out", str(out),
             "--steps", str(steps), "--batch-size", "8", "--log-interval", "5",
@@ -758,6 +789,7 @@ def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
     ("trainstate.tdck", 10, 31, "step 20", {}), ("trainstate.tdck", 20, 31, "step 20", {}),
     ("trainstate.tdck", 40, 32, "seed '31'", {}),
     ("model.tdck", 40, 31, "not a trainstate", {}),
+    ("old.tdck", 40, 31, "holds no loss_rows, metric_rows", {}),
     ("trainstate.tdck", 40, 31, "lr '0.0003'", {"lr": 0.001}),
     ("trainstate.tdck", 40, 31, "preset 'student'", {"preset": "teacher-S"}),
     ("trainstate.tdck", 40, 31, "teacher_fingerprint", {"teacher": "model.tdck"})])
@@ -771,6 +803,10 @@ def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt
         changed = {**distill, "teacher": str(done / changed["teacher"])}
     run_training(RunConfig(dataset=str(data_dir), out=str(done), seed=31,
                            **FAST, **distill))
+    if resume == "old.tdck":  # a trainstate as written before it stored rows
+        old = read_checkpoint(done / "trainstate.tdck")
+        del old.metadata["loss_rows"], old.metadata["metric_rows"]
+        write_checkpoint(done / resume, old)
     resume = done / resume
     rc = main(_resume_argv(command, data_dir, out, resume, steps, seed, changed))
     assert rc == EXIT_USAGE
@@ -924,6 +960,8 @@ def test_write_to_an_f16_teachers_weight_is_caught(data_dir, teacher_ckpt, tmp_p
                     teacher=str(teacher), d_coef=0.5, **{**FAST, "steps": 1})
     with pytest.raises(RuntimeError, match="frozen teacher was mutated"):
         run_training(cfg)
+    # checked before model.tdck is written, so no model of a broken run is left
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["config.txt"]
 
 
 def test_trainstate_teacher_is_usage_error(data_dir, teacher_ckpt, tmp_path, capsys):
@@ -981,9 +1019,6 @@ def test_final_eval_reuses_a_periodic_eval_at_the_last_step(data_dir, tmp_path,
 
 # --- one training command: a teacher alone turns distillation on -------------
 
-RUN_FILES = ("config.txt", "model.tdck", "trainstate.tdck", "losses.csv", "metrics.csv")
-
-
 def _run_in(root, monkeypatch, argv):
     """`main(argv)` in directory `root`, which it makes: a relative --out
     then records the same `out=` line in every directory."""
@@ -991,11 +1026,6 @@ def _run_in(root, monkeypatch, argv):
     monkeypatch.chdir(root)
     assert main(argv) == EXIT_OK
     return root / "run"
-
-
-def _same_run(a, b):
-    for name in RUN_FILES:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def _distill_argv(command, data_dir, teacher_ckpt, *extra):

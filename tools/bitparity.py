@@ -25,7 +25,10 @@ of every training run (the resumed one and each sweep cell included), the
 sweep.csv bytes (not report.json's, which hold the wall clock), the f16
 checkpoint hash and quant_report.csv, the f16 task scores, the teacher's
 score and both evals' metrics.csv. Within each checkout the config-replay
-model must also equal the teacher's, byte for byte. The dataset's content
+model must also equal the teacher's, byte for byte (config-replay), and
+the resumed latent_linear run must equal the uninterrupted one in its
+model.tdck and trainstate.tdck hashes and its losses.csv and metrics.csv
+bytes (resume). The dataset's content
 is hashed by the checkout's own load_dataset: the packed obs, actions and
 rewards bytes plus each episode's task, policy, seed and length, so a
 change of container is checked on what it holds. It prints one line per
@@ -48,6 +51,8 @@ from pathlib import Path
 TRAIN_FLAGS = ["--horizon", "3", "--log-interval", "10", "--eval-episodes", "0",
                "--eval-every", "0"]
 MODES = ("reward_only", "latent_linear", "latent_pca")
+# the items of a resumed run that must equal its uninterrupted run's
+RESUMED_ITEMS = ("model", "trainstate", "losses_csv", "metrics_csv")
 
 
 def _sha256(path: Path) -> str:
@@ -187,10 +192,17 @@ def main(argv=None) -> int:
         print(f"{key:{width}s} {'same     ' if a == b else 'DIFFERENT'} {a}"
               + ("" if a == b else f" -> {b}"))
     for side, values in sides.items():
-        replayed = values["config-replay.model"] == values["teacher.model"]
-        same &= replayed
-        print(f"{side + ' config-replay':{width}s} "
-              f"{'same     ' if replayed else 'DIFFERENT'} model.tdck against teacher.model")
+        checks = {
+            "config-replay": (values["config-replay.model"] == values["teacher.model"],
+                              "model.tdck against teacher.model"),
+            "resume": (all(values[f"latent_linear-resumed.{item}"]
+                           == values[f"latent_linear.{item}"] for item in RESUMED_ITEMS),
+                       f"latent_linear-resumed against latent_linear in "
+                       f"{', '.join(RESUMED_ITEMS)}"),
+        }
+        for check, (ok, what) in checks.items():
+            same &= ok
+            print(f"{side + ' ' + check:{width}s} {'same     ' if ok else 'DIFFERENT'} {what}")
     print(json.dumps({"seed": args.seed, "batch_size": args.batch_size,
                       "identical": same, **sides}, sort_keys=True))
     return 0 if same else 1
