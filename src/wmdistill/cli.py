@@ -122,23 +122,17 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _training_config(args: argparse.Namespace) -> RunConfig:
-    """The run's RunConfig, once its dataset and resume checkpoint exist."""
+    """The run's RunConfig, once it names a dataset."""
     cfg = _run_config(args)
     if not cfg.dataset:
         raise UsageError("a dataset directory is required (--dataset)")
-    if not Path(cfg.dataset).exists():
-        raise UsageError(f"dataset directory {cfg.dataset} does not exist")
-    if cfg.resume and not Path(cfg.resume).exists():
-        raise UsageError(f"resume checkpoint {cfg.resume} does not exist")
     return cfg
 
 
 def _scoring_args(args: argparse.Namespace) -> dict:
-    """Scoring keywords for eval and quantize, after checking their settings,
-    --checkpoint and --episodes."""
+    """Scoring keywords for eval and quantize, after checking their settings
+    and --episodes."""
     cfg = _run_config(args)
-    if not Path(args.checkpoint).exists():
-        raise UsageError(f"checkpoint {args.checkpoint} does not exist")
     if args.episodes < 1:
         raise UsageError(f"--episodes must be >= 1, got {args.episodes}")
     return dict(episodes=args.episodes, seed=cfg.seed,

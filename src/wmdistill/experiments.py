@@ -1,5 +1,6 @@
-"""Run orchestration: training/distillation loops, evaluation runs,
-quantization runs and grid sweeps, all with reproducible outputs.
+"""Run orchestration: training runs, which load their dataset and teacher
+and then train, evaluation and quantization runs, and grid sweeps, which
+load the dataset and each teacher once and share them with every cell.
 
 Every run writes into its output directory, each file through
 `checkpoint.write_atomic`, so it is replaced whole or left as it was:
@@ -234,11 +235,20 @@ def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
     return ckpt
 
 
+def _eval_every(cfg: RunConfig) -> int:
+    """The steps between the run's periodic evals; 0 when it makes none."""
+    if cfg.eval_episodes == 0:
+        return 0
+    return cfg.eval_every if cfg.eval_every >= 0 else cfg.steps // 10
+
+
 def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
                      teacher: Optional[FrozenTeacher]) -> Checkpoint:
     """The --resume trainstate, once it is known to continue this run: it
-    holds a step and the rows so far, and its training metadata (all but
-    `steps`), preset, activation and teacher fingerprint equal the run's."""
+    holds a step and the rows so far, its training metadata (all but
+    `steps`), preset, activation and teacher fingerprint equal the run's,
+    and its rows are at the steps where this run's --log-interval and
+    effective --eval-every write rows."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
     missing = [key for key in ("step", *_ROW_KEYS) if key not in md]
@@ -252,11 +262,19 @@ def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
     keys = sorted(set(want) | {"teacher_fingerprint"})
     diffs = [f"{key} {md.get(key)!r} (run: {want.get(key)!r})"
              for key in keys if md.get(key) != want.get(key)]
+    step = int(md["step"])
+    for name, key, every in (("log_interval", "loss_rows", cfg.log_interval),
+                             ("eval_every", "metric_rows", _eval_every(cfg))):
+        have = list(dict.fromkeys(int(row.split(",", 1)[0])
+                                  for row in md[key].split(";")[1:]))
+        run = list(range(every, step + 1, every)) if every else []
+        if have != run:
+            diffs.append(f"{name}: {key} first at steps {have[:3]} (run: {run[:3]})")
     if diffs:
         raise ResumeMismatchError(f"trainstate {cfg.resume} is from another run: "
                                   + ", ".join(diffs))
-    if int(md["step"]) >= cfg.steps:
-        raise ResumeMismatchError(f"trainstate {cfg.resume} is at step {md['step']}, "
+    if step >= cfg.steps:
+        raise ResumeMismatchError(f"trainstate {cfg.resume} is at step {step}, "
                                   f"not before the run's last step {cfg.steps}")
     return ckpt
 
@@ -299,13 +317,15 @@ def _training_dataset(cfg: RunConfig) -> Dataset:
     return dataset
 
 
-def _check_teacher(path, metadata: Dict[str, str], dataset: Dataset) -> None:
-    """Raise UsageError unless the checkpoint at `path` is a model (f32 or
-    f16), not a trainstate, that reads `dataset`'s layout."""
-    if "step" in metadata:
+def _load_teacher(path, dataset: Dataset) -> FrozenTeacher:
+    """The frozen teacher at `path`, once it is known to be a model (f32 or
+    f16), not a trainstate, that reads `dataset`'s layout (else UsageError)."""
+    teacher = FrozenTeacher.load(path)
+    if "step" in teacher.metadata:
         raise UsageError(f"teacher {path} is a trainstate checkpoint; "
                          "give its run's model.tdck (or its f16 copy)")
-    check_layout(path, metadata, dataset.tasks, dataset.obs_dim, dataset.act_dim)
+    check_layout(path, teacher.metadata, dataset.tasks, dataset.obs_dim, dataset.act_dim)
+    return teacher
 
 
 def _check_distillation(cfg: RunConfig) -> None:
@@ -315,16 +335,19 @@ def _check_distillation(cfg: RunConfig) -> None:
 
 
 def run_training(cfg: RunConfig) -> dict:
-    """The one training loop: it distills from `cfg.teacher` when one is
-    given and trains from scratch otherwise."""
-    t0 = time.perf_counter()
+    """Load the run's dataset and its teacher, if it has one, and train: the
+    run distills from a teacher and trains from scratch without one."""
     _check_distillation(cfg)
     dataset = _training_dataset(cfg)
+    teacher = _load_teacher(cfg.teacher, dataset) if cfg.teacher else None
+    return _train(cfg, dataset, teacher)
+
+
+def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -> dict:
+    """The one training loop, on the run's loaded dataset and teacher (None
+    trains from scratch); it writes every file of the run into `cfg.out`."""
+    t0 = time.perf_counter()
     tasks = list(dataset.tasks)
-    teacher: Optional[FrozenTeacher] = None
-    if cfg.teacher:
-        teacher = FrozenTeacher.load(cfg.teacher)
-        _check_teacher(cfg.teacher, teacher.metadata, dataset)
     trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
     command = "distill" if teacher else "train"
     out = Path(cfg.out)
@@ -354,10 +377,7 @@ def run_training(cfg: RunConfig) -> dict:
     if trainstate is not None:
         start_step, loss_rows, metric_rows = _load_trainstate(trainstate, model, opts)
 
-    eval_every = cfg.eval_every
-    if eval_every < 0:
-        eval_every = cfg.steps // 10 if cfg.steps >= 10 else 0
-
+    eval_every = _eval_every(cfg)
     final_eval: Optional[EvalResult] = None
     for step in range(start_step, cfg.steps):
         rng = stream(cfg.seed, "batch", step)
@@ -369,7 +389,7 @@ def run_training(cfg: RunConfig) -> dict:
         if (step + 1) % cfg.log_interval == 0:
             loss_rows.append(f"{step + 1},{bd.consistency:.8g},{bd.reward:.8g},"
                              f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
-        if eval_every and (step + 1) % eval_every == 0 and cfg.eval_episodes > 0:
+        if eval_every and (step + 1) % eval_every == 0:
             res = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
                                  planner_config(cfg), cfg.gamma, suite)
             metric_rows.extend(_metrics_rows(step + 1, res))
@@ -463,9 +483,9 @@ def run_quantize(checkpoint_path, out, evaluate: bool = False,
                  gamma: float = 0.99) -> dict:
     """Quantize a checkpoint to f16 storage; optionally score both versions."""
     t0 = time.perf_counter()
+    ckpt = read_checkpoint(checkpoint_path)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = read_checkpoint(checkpoint_path)
     ckpt16, qreport = to_fp16(ckpt)
     f16_path = out / (Path(checkpoint_path).stem + ".f16.tdck")
     f16_hash = write_checkpoint(f16_path, ckpt16)
@@ -520,14 +540,12 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     s_axis = grid.steps_list or [base.steps]
     t_axis = grid.teachers or [base.teacher]
 
-    dataset = _training_dataset(base)  # no cell varies the dataset or the horizon
-    # each teacher is read once, and must read the dataset's layout
-    labels = {"": "none"}
-    for path in dict.fromkeys(t_axis):
-        if path:
-            md = read_checkpoint(path).metadata
-            _check_teacher(path, md, dataset)
-            labels[path] = md.get("preset", Path(path).stem)
+    # no cell varies the dataset or the horizon; each teacher is loaded and
+    # checked once, and the cells share them
+    dataset = _training_dataset(base)
+    teachers = {path: _load_teacher(path, dataset) for path in dict.fromkeys(t_axis) if path}
+    labels = {"": "none", **{path: teacher.metadata.get("preset", Path(path).stem)
+                             for path, teacher in teachers.items()}}
     # every cell's config is built, and so checked, before the first cell runs
     cells = [replace(base, d_coef=d, batch_size=b, steps=s, teacher=t, resume="",
                      out=str(out / f"cell{i:03d}_d{d}_b{b}_s{s}_{labels[t]}"))
@@ -540,7 +558,7 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
         cell_out = Path(cfg.out)
         error = None
         try:
-            report = run_training(cfg)
+            report = _train(cfg, dataset, teachers.get(cfg.teacher))
             score = report["normalized_score"]
             status = "ok"
         except Exception as exc:  # cell failures are recorded, sweep continues

@@ -253,6 +253,27 @@ def test_cli_gen_data_and_exit_codes(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
+# a missing input is refused by its loader, with exit 2, before anything is written
+@pytest.mark.parametrize("command, inputs", [
+    ("train", ["--dataset", "{missing}"]),
+    ("sweep", ["--dataset", "{missing}", "--grid-d-coef", "0"]),
+    ("train", ["--dataset", "{data}", "--resume", "{missing}"]),
+    ("eval", ["--checkpoint", "{missing}"]),
+    ("quantize", ["--checkpoint", "{missing}"])],
+    ids=["train-dataset", "sweep-dataset", "train-resume", "eval", "quantize"])
+def test_missing_input_is_its_loaders_usage_error(data_dir, tmp_path, capsys, command,
+                                                  inputs):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    rc = main([command, "--out", str(out),
+               *(arg.format(missing=missing, data=data_dir) for arg in inputs)])
+    assert rc == EXIT_USAGE
+    said = (f"no dataset.tdck in dataset directory {missing}"
+            if inputs[inputs.index("{missing}") - 1] == "--dataset"
+            else f"checkpoint {missing} does not exist")
+    assert capsys.readouterr().err.startswith(f"error: {said}")
+    assert not out.exists()
+
+
 def test_cli_eval_deterministic(teacher_ckpt, tmp_path):
     args = ["eval", "--checkpoint", str(teacher_ckpt), "--episodes", "1",
             "--seed", "3", "--plan-samples", "8", "--plan-iterations", "1",
@@ -303,55 +324,94 @@ def test_sweep_table_sorted_and_complete(data_dir, teacher_ckpt, tmp_path):
 
 def _broken_teacher(root, teacher_ckpt):
     """`teacher_ckpt` without its encoder.w0 tensor: its metadata fits the
-    dataset, so a sweep starts, and each of its cells fails loading it."""
+    dataset, but its model does not load."""
     broken = read_checkpoint(teacher_ckpt)
     del broken.tensors["encoder.w0"]
     write_checkpoint(root / "broken.tdck", broken)
     return root / "broken.tdck"
 
 
+@contextlib.contextmanager
+def _failing_distill_steps():
+    """Every distillation step raises, as a cell that fails in training does;
+    a run without a teacher trains as usual."""
+    def failing_step(*args):
+        raise FloatingPointError("injected: distill step diverged")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments_module, "distill_train_step", failing_step)
+        yield
+
+
 def test_sweep_records_cell_failures_and_continues(data_dir, teacher_ckpt, tmp_path):
-    broken = _broken_teacher(tmp_path, teacher_ckpt)
     base = RunConfig(dataset=str(data_dir), out="", seed=52, steps=5,
                      batch_size=8, log_interval=5, eval_every=0,
                      eval_episodes=0, preset="student")
     # d_coef 0: the from-scratch ("") cell has no teacher to distill from
     grid = SweepGrid(d_coefs=[0.0], batch_sizes=[],
-                     steps_list=[], teachers=[str(broken), ""])
-    report = run_sweep(base, grid, tmp_path / "sweep2")
+                     steps_list=[], teachers=[str(teacher_ckpt), ""])
+    with _failing_distill_steps():
+        report = run_sweep(base, grid, tmp_path / "sweep2")
     statuses = sorted(c["status"] for c in report["cells"])
-    assert len(statuses) == 2
-    assert any(s.startswith("error:") for s in statuses)
-    assert any(s == "ok" for s in statuses)
+    assert statuses == ["error:FloatingPointError", "ok"]
     rows = (tmp_path / "sweep2" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 2
     failed = [c for c in report["cells"] if c["status"] != "ok"]
-    assert "encoder.w0" in failed[0]["error"]
+    assert failed[0]["error"] == "injected: distill step diverged"
     trace = (Path(failed[0]["out_dir"]) / "error.txt").read_text()
-    assert "Traceback" in trace and "encoder.w0" in trace
+    assert "Traceback" in trace and "injected: distill step diverged" in trace
     on_disk = json.loads((tmp_path / "sweep2" / "report.json").read_text())
     assert [c["error"] for c in on_disk["cells"]] == [c["error"] for c in report["cells"]]
 
 
-def test_sweep_reads_each_teacher_once(data_dir, teacher_ckpt, tmp_path,
-                                       monkeypatch):
-    reads = []
-    real = experiments_module.read_checkpoint
-
-    def counting_read(path):
-        reads.append(path)
-        return real(path)
-
-    monkeypatch.setattr(experiments_module, "read_checkpoint", counting_read)
-    base = RunConfig(dataset=str(data_dir), out="", seed=53, steps=2,
-                     batch_size=8, log_interval=1, eval_every=0,
-                     eval_episodes=0, preset="student")
+def test_sweep_stops_on_an_unloadable_teacher_before_any_cell(data_dir, teacher_ckpt,
+                                                              tmp_path):
+    base = RunConfig(dataset=str(data_dir), seed=52, **FAST)
     grid = SweepGrid(d_coefs=[0.0, 0.4], batch_sizes=[], steps_list=[],
-                     teachers=[str(teacher_ckpt)])
+                     teachers=[str(teacher_ckpt), str(_broken_teacher(tmp_path,
+                                                                      teacher_ckpt))])
+    with pytest.raises(KeyError, match="encoder.w0"):
+        run_sweep(base, grid, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_reads_each_teacher_once(data_dir, teacher_ckpt, tmp_path, monkeypatch):
+    # the sweep loads the dataset once and each teacher once for all its
+    # cells, and each cell writes the files of a standalone run of its config
+    loads = []
+    real_load_dataset, real_load_teacher = experiments_module.load_dataset, FrozenTeacher.load
+
+    def counting_load_dataset(root):
+        loads.append(("dataset", str(root)))
+        return real_load_dataset(root)
+
+    def counting_load_teacher(path):
+        loads.append(("teacher", str(path)))
+        return real_load_teacher(path)
+
+    monkeypatch.setattr(experiments_module, "load_dataset", counting_load_dataset)
+    monkeypatch.setattr(FrozenTeacher, "load", staticmethod(counting_load_teacher))
+    teachers = [str(teacher_ckpt), str(_f16_teacher(teacher_ckpt, tmp_path))]
+    base = RunConfig(dataset=str(data_dir), out="", seed=53, steps=4, batch_size=8,
+                     log_interval=2, eval_every=0, eval_episodes=1, preset="student",
+                     **TINY_PLAN)
+    grid = SweepGrid(d_coefs=[0.0, 0.4], batch_sizes=[], steps_list=[],
+                     teachers=teachers)
     report = run_sweep(base, grid, tmp_path / "sweep")
-    assert [c["status"] for c in report["cells"]] == ["ok", "ok"]
+    assert loads == [("dataset", str(data_dir))] + [("teacher", t) for t in teachers]
+    assert [c["status"] for c in report["cells"]] == ["ok"] * 4
     assert {c["teacher"] for c in report["cells"]} == {"teacher-S"}
-    assert reads == [str(teacher_ckpt)]
+
+    def settings(run):
+        return [line for line in (run / "config.txt").read_text().splitlines()
+                if not line.startswith("out=")]
+
+    for i, cell in enumerate(report["cells"]):
+        cell_dir, alone = Path(cell["out_dir"]), tmp_path / f"alone{i}"
+        run_training(RunConfig(**{**read_config(cell_dir / "config.txt"),
+                                  "out": str(alone)}))
+        _same_run(cell_dir, alone, RUN_FILES[1:])
+        assert settings(cell_dir) == settings(alone)
 
 
 def test_sweep_empty_grid_is_usage_error(data_dir, tmp_path):
@@ -792,7 +852,10 @@ def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
     ("old.tdck", 40, 31, "holds no loss_rows, metric_rows", {}),
     ("trainstate.tdck", 40, 31, "lr '0.0003'", {"lr": 0.001}),
     ("trainstate.tdck", 40, 31, "preset 'student'", {"preset": "teacher-S"}),
-    ("trainstate.tdck", 40, 31, "teacher_fingerprint", {"teacher": "model.tdck"})])
+    ("trainstate.tdck", 40, 31, "teacher_fingerprint", {"teacher": "model.tdck"}),
+    ("trainstate.tdck", 40, 31, "log_interval: loss_rows", {"log_interval": 2}),
+    ("trainstate.tdck", 40, 31, "eval_every: metric_rows",
+     {"eval_every": -1, "eval_episodes": 1})])
 def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt,
                                                           tmp_path, capsys, resume,
                                                           steps, seed, named, changed):
@@ -842,11 +905,12 @@ def _quantize_run(root, data_dir, teacher_ckpt, variant):
 
 
 def _sweep_run(root, data_dir, teacher_ckpt, variant):
-    # every cell fails (broken teacher), so each writes error.txt; the second
+    # every cell fails in training, so each writes error.txt; the second
     # sweep has one more cell, so its sweep.csv differs from the first's
     base = RunConfig(dataset=str(data_dir), seed=variant, **FAST)
-    run_sweep(base, SweepGrid([0.1, 0.2][:variant + 1], [], [],
-                              [str(_broken_teacher(root, teacher_ckpt))]), root / "sweep")
+    with _failing_distill_steps():
+        run_sweep(base, SweepGrid([0.1, 0.2][:variant + 1], [], [], [str(teacher_ckpt)]),
+                  root / "sweep")
 
 
 def _gen_data(root, data_dir, teacher_ckpt, variant):

@@ -12,8 +12,9 @@ the package imported from that checkout's src/, it runs at a fixed seed:
                reward_only, latent_linear and latent_pca modes, the
                latent_linear run once more, resumed from a 30-step
                trainstate, and a reward_only student with tanh activations
-    sweep      a student sweep against that teacher with d_coef 0 and 0.5,
-               batch 32 (or B), 60 steps each
+    sweep      a student sweep with d_coef 0 and 0.5 against two teachers,
+               that teacher and the reward_only student (4 cells, each
+               teacher shared by two), batch 32 (or B), 60 steps each
     quantize   the reward_only student to f16
     eval       the f16 student, one episode per task, the f32 teacher, one
                pendulum-swingup episode (the 256-wide planner path), and the
@@ -135,7 +136,8 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     values.update(training("latent_linear-resumed"))
     distill("reward_only", "tanh", "60", "--activation", "tanh")
     values.update(training("tanh"))
-    cli("sweep", "--dataset", "data", "--out", "sweep", "--teacher", "teacher/model.tdck",
+    cli("sweep", "--dataset", "data", "--out", "sweep",
+        "--grid-teacher", "teacher/model.tdck,reward_only/model.tdck",
         "--preset", "student", "--steps", "60", "--batch-size", str(batch or 32),
         "--seed", s, "--grid-d-coef", "0,0.5", *TRAIN_FLAGS)
     values["sweep.sweep_csv"] = _sha256(work / "sweep" / "sweep.csv")
