@@ -2,7 +2,8 @@
 
 A dataset directory holds one file, `dataset.tdck`, in the checkpoint
 container format (`checkpoint.py`), written whole by `write_checkpoint` and
-parsed by `read_checkpoint`. Its three f32 tensors pack every episode's
+read once by `load_dataset`, which parses those bytes and keeps their sha256
+as the dataset's identity. Its three f32 tensors pack every episode's
 rows end to end, in episode order:
 
     obs       (sum_e (T_e + 1), obs_dim)
@@ -18,6 +19,7 @@ pairs; a window never crosses an episode boundary.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
+from .checkpoint import Checkpoint, deserialize, read_checkpoint, write_checkpoint
 from .envs import MultiTaskSuite, TASKS, UsageError, scripted_policy
 from .seeding import stream
 
@@ -117,6 +119,7 @@ class Dataset:
     actions: np.ndarray = field(repr=False, compare=False)
     rewards: np.ndarray = field(repr=False, compare=False)
     records: List[EpisodeRecord]
+    sha256: str = field(default="", repr=False, compare=False)  # of the file read
     episodes: List[Episode] = field(init=False, repr=False, compare=False)
     # horizon -> _WindowTable, built on first use by sample_batch
     _windows: Dict[int, "_WindowTable"] = field(
@@ -186,7 +189,8 @@ def load_dataset(root) -> Dataset:
         raise FileNotFoundError(f"no {DATASET_FILE} in dataset directory {root}; "
                                 "regenerate it with gen-data (.mtep episode files "
                                 "and manifest.txt are no longer read)")
-    ckpt = read_checkpoint(path)
+    raw = path.read_bytes()
+    ckpt = deserialize(raw, origin=str(path))
     try:
         md = ckpt.metadata
         records = []
@@ -197,7 +201,7 @@ def load_dataset(root) -> Dataset:
     except (KeyError, ValueError) as exc:
         raise DatasetFormatError(f"dataset file {path}: a missing or malformed "
                                  f"entry ({type(exc).__name__}: {exc})") from None
-    return Dataset(root, *arrays, records)
+    return Dataset(root, *arrays, records, hashlib.sha256(raw).hexdigest())
 
 
 @dataclass

@@ -3,16 +3,18 @@ and then train, evaluation and quantization runs, and grid sweeps, which
 load the dataset and each teacher once and share them with every cell.
 
 Every run writes into its output directory, each file through
-`checkpoint.write_atomic`, so it is replaced whole or left as it was:
+`checkpoint.write_atomic`, so it is replaced whole or left as it was. A
+training run rewrites the next four files at each periodic eval and at its
+end, and writes report.json last, once it is done:
 
     config.txt       fully-resolved key=value config (sufficient to
                      reproduce the run bit-for-bit)
     losses.csv       one row per logged step:
                      step,consistency,reward,value,distill,total
     metrics.csv      long-form plot data: step,metric,value,task
-    model.tdck       final weights (including the target head)
+    model.tdck       the weights (including the target head)
     trainstate.tdck  weights + Adam moments + step counter + the loss and
-                     periodic-eval metric rows so far, for resume
+                     periodic-eval metric rows so far + dataset sha256
     report.json      scores, checkpoint hashes, wall clock, config snapshot
 
 Batches are sampled from per-step derived rng streams, so resuming from a
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Adam
-from .checkpoint import (Checkpoint, file_hash, read_checkpoint, text_lines,
+from .checkpoint import (Checkpoint, content_hash, read_checkpoint, text_lines,
                          write_atomic, write_checkpoint)
 from .dataset import Dataset, check_layout, load_dataset, sample_batch
 from .distill import (MODES, FrozenTeacher, LatentProjection, distill_train_step,
@@ -49,8 +51,8 @@ from .world_model import (ACTIVATIONS, PRESETS, WorldModel, load_param,
 
 
 class ResumeMismatchError(UsageError):
-    """A --resume trainstate belongs to another run, or is already at or past
-    the run's last step."""
+    """A --resume trainstate belongs to another run or dataset, or is already
+    at or past the run's last step."""
 
 
 # RunConfig field -> PlannerConfig field
@@ -211,8 +213,9 @@ def _train_metadata(cfg: RunConfig, tasks: Sequence[str],
 _ADAM_KEYS = ("adam_main", "adam_policy")
 
 # the metadata keys of a trainstate's losses.csv and metrics.csv rows so far,
-# header first, joined by ";"
+# header first, joined by ";", and of its dataset's sha256 (not in model.tdck)
 _ROW_KEYS = ("loss_rows", "metric_rows")
+_DATASET_KEY = "dataset_sha256"
 
 
 def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
@@ -242,20 +245,20 @@ def _eval_every(cfg: RunConfig) -> int:
     return cfg.eval_every if cfg.eval_every >= 0 else cfg.steps // 10
 
 
-def _read_trainstate(cfg: RunConfig, tasks: Sequence[str],
+def _read_trainstate(cfg: RunConfig, dataset: Dataset,
                      teacher: Optional[FrozenTeacher]) -> Checkpoint:
     """The --resume trainstate, once it is known to continue this run: it
     holds a step and the rows so far, its training metadata (all but
-    `steps`), preset, activation and teacher fingerprint equal the run's,
-    and its rows are at the steps where this run's --log-interval and
-    effective --eval-every write rows."""
+    `steps`), preset, activation, teacher fingerprint and dataset digest
+    equal the run's, and its rows are at the steps where this run's
+    --log-interval and effective --eval-every write rows."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
-    missing = [key for key in ("step", *_ROW_KEYS) if key not in md]
+    missing = [key for key in ("step", _DATASET_KEY, *_ROW_KEYS) if key not in md]
     if missing:
         raise ResumeMismatchError(f"{cfg.resume} is not a trainstate this version "
                                   f"resumes: it holds no {', '.join(missing)}")
-    want = {**_train_metadata(cfg, tasks, teacher),
+    want = {**_train_metadata(cfg, dataset.tasks, teacher), _DATASET_KEY: dataset.sha256,
             "preset": cfg.preset, "activation": cfg.activation}
     del want["steps"]
     # a run without a teacher must not resume a trainstate that records one
@@ -292,6 +295,27 @@ def _load_trainstate(ckpt: Checkpoint, model: WorldModel, opts: Sequence[Adam]
                         for p in opt.params], int(ckpt.metadata[f"{key}_t"]))
     loss_rows, metric_rows = (ckpt.metadata[key].split(";") for key in _ROW_KEYS)
     return int(ckpt.metadata["step"]), loss_rows, metric_rows
+
+
+def _write_run(out: Path, step: int, model: WorldModel, opts: Sequence[Adam],
+               metadata: Dict[str, str], dataset: Dataset,
+               teacher: Optional[FrozenTeacher], rows) -> Dict[str, str]:
+    """Write a run's files as of `step`, after the frozen-teacher check (so a
+    mutated teacher leaves no model): model.tdck, trainstate.tdck with the
+    loss and metric `rows` so far, and losses.csv and metrics.csv; returns
+    the checkpoints' hashes."""
+    if teacher is not None:
+        after = teacher.refingerprint()
+        if after != teacher.fingerprint:
+            raise RuntimeError("frozen teacher was mutated during distillation "
+                               f"({teacher.fingerprint} -> {after})")
+    state = _trainstate_checkpoint(model, opts, step,
+                                   {**metadata, _DATASET_KEY: dataset.sha256}, rows)
+    hashes = {"model": write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata)),
+              "trainstate": write_checkpoint(out / "trainstate.tdck", state)}
+    for name, lines in zip(("losses.csv", "metrics.csv"), rows):
+        write_atomic(out / name, [text_lines(lines)])
+    return hashes
 
 
 def _write_report(out: Path, report: dict) -> None:
@@ -348,11 +372,12 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
     trains from scratch); it writes every file of the run into `cfg.out`."""
     t0 = time.perf_counter()
     tasks = list(dataset.tasks)
-    trainstate = _read_trainstate(cfg, tasks, teacher) if cfg.resume else None
+    trainstate = _read_trainstate(cfg, dataset, teacher) if cfg.resume else None
     command = "distill" if teacher else "train"
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg, command)
+    (out / "report.json").unlink(missing_ok=True)  # it marks a finished run
 
     suite = MultiTaskSuite(tuple(tasks))
     model = WorldModel(dataset.obs_dim, dataset.act_dim, cfg.preset,
@@ -377,6 +402,8 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
     if trainstate is not None:
         start_step, loss_rows, metric_rows = _load_trainstate(trainstate, model, opts)
 
+    rows = (loss_rows, metric_rows)
+    metadata = _train_metadata(cfg, tasks, teacher)
     eval_every = _eval_every(cfg)
     final_eval: Optional[EvalResult] = None
     for step in range(start_step, cfg.steps):
@@ -393,30 +420,19 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
             res = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
                                  planner_config(cfg), cfg.gamma, suite)
             metric_rows.extend(_metrics_rows(step + 1, res))
+            hashes = _write_run(out, step + 1, model, opts, metadata, dataset, teacher, rows)
             if step + 1 == cfg.steps:  # it scored the final model: the final eval
                 final_eval = res
 
-    if teacher is not None:
-        after = teacher.refingerprint()
-        if after != teacher.fingerprint:
-            raise RuntimeError("frozen teacher was mutated during distillation "
-                               f"({teacher.fingerprint} -> {after})")
-
-    metadata = _train_metadata(cfg, tasks, teacher)
-    model_hash = write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))
-    # the final eval's rows belong to the run's end, not to step cfg.steps
-    state_hash = write_checkpoint(
-        out / "trainstate.tdck",
-        _trainstate_checkpoint(model, opts, cfg.steps, metadata, (loss_rows, metric_rows)))
-
+    if final_eval is None:  # no periodic eval wrote the last step's files
+        hashes = _write_run(out, cfg.steps, model, opts, metadata, dataset, teacher, rows)
+    # the final eval's rows belong to the run's end, not to the trainstate
     if cfg.eval_episodes > 0:
         if final_eval is None:
             final_eval = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
                                         planner_config(cfg), cfg.gamma, suite)
         metric_rows.extend(_metrics_rows(cfg.steps, final_eval))
-
-    write_atomic(out / "losses.csv", [text_lines(loss_rows)])
-    write_atomic(out / "metrics.csv", [text_lines(metric_rows)])
+        write_atomic(out / "metrics.csv", [text_lines(metric_rows)])
 
     report = {
         "command": command,
@@ -424,7 +440,7 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
         "steps": cfg.steps,
         "task_scores": final_eval.task_scores if final_eval else {},
         "normalized_score": final_eval.normalized if final_eval else None,
-        "checkpoint_hashes": {"model": model_hash, "trainstate": state_hash},
+        "checkpoint_hashes": hashes,
         "teacher_fingerprint": teacher.fingerprint if teacher else None,
         "wall_clock_s": time.perf_counter() - t0,
     }
@@ -449,7 +465,7 @@ def run_eval(checkpoint_path, out, tasks: Optional[Sequence[str]], episodes: int
     report = {
         "command": "eval",
         "checkpoint": str(checkpoint_path),
-        "checkpoint_hash": file_hash(checkpoint_path),
+        "checkpoint_hash": content_hash(ckpt),
         "tasks": eval_tasks,
         "episodes": episodes,
         "seed": seed,

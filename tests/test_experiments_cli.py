@@ -1178,3 +1178,131 @@ def test_sweep_without_a_teacher_refuses_distillation_before_any_cell(data_dir,
     assert capsys.readouterr().err.startswith(
         "error: distillation requires --teacher: --d-coef is 0.4")
     assert not out.exists()
+
+
+# --- a run's files as of its last periodic eval: a killed run resumes --------
+
+class _Killed(Exception):
+    """Stands in for a kill between two periodic evals."""
+
+
+@pytest.mark.parametrize("mode", [None, "reward_only", "latent_linear", "latent_pca"])
+def test_a_killed_run_resumes_to_the_uninterrupted_runs_files(data_dir, teacher_ckpt,
+                                                              tmp_path, mode):
+    settings = {**FAST, "eval_every": 5, "eval_episodes": 1, **TINY_PLAN}
+    if mode:
+        settings.update(d_coef=0.5, mode=mode, teacher=str(teacher_ckpt))
+
+    def run(name, resume=""):
+        run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / name), seed=35,
+                               resume=resume, **settings))
+
+    run("full")
+    name = "distill_train_step" if mode else "train_step"
+    step, calls = getattr(experiments_module, name), []
+
+    def killed_at_step_13(*args):
+        calls.append(args)
+        if len(calls) == 13:
+            raise _Killed
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments_module, name, killed_at_step_13)
+        with pytest.raises(_Killed):
+            run("killed")
+    killed = tmp_path / "killed"
+    # the files of the eval at step 10, and no report.json: the run did not finish
+    assert sorted(p.name for p in killed.iterdir()) == sorted(RUN_FILES)
+    state = read_checkpoint(killed / "trainstate.tdck").metadata
+    assert state["step"] == "10"
+    assert (killed / "losses.csv").read_text().split() == state["loss_rows"].split(";")
+    assert (killed / "metrics.csv").read_text().split() == state["metric_rows"].split(";")
+    run("killed", str(killed / "trainstate.tdck"))
+    _same_run(tmp_path / "full", killed, RESUMED_FILES)
+    assert (killed / "report.json").exists()
+
+
+# (eval_episodes, eval_every, the writes of model.tdck, trainstate.tdck and
+# losses.csv, the writes of metrics.csv); a run of 20 steps
+@pytest.mark.parametrize("eval_episodes, eval_every, state_writes, metric_writes",
+                         [(0, 5, 1, 1), (1, 0, 1, 2), (1, 5, 4, 5)])
+def test_a_run_writes_its_files_at_each_periodic_eval_and_at_its_end(
+        data_dir, tmp_path, monkeypatch, eval_episodes, eval_every, state_writes,
+        metric_writes):
+    writes = []
+    real = experiments_module.write_atomic
+
+    def counted(target, parts):
+        writes.append(Path(target).name)
+        return real(target, parts)
+
+    for module in (experiments_module, checkpoint_module):
+        monkeypatch.setattr(module, "write_atomic", counted)
+    run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"), seed=36,
+                           **{**FAST, "eval_episodes": eval_episodes,
+                              "eval_every": eval_every}, **TINY_PLAN))
+    assert {name: writes.count(name) for name in writes} == {
+        "config.txt": 1, "model.tdck": state_writes, "trainstate.tdck": state_writes,
+        "losses.csv": state_writes, "metrics.csv": metric_writes, "report.json": 1}
+    assert writes[-1] == "report.json"
+
+
+def test_a_report_json_left_in_the_directory_is_removed_at_the_start(data_dir, tmp_path,
+                                                                     monkeypatch):
+    out = tmp_path / "run"
+    run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=37, **FAST))
+
+    def diverged(*args):
+        raise FloatingPointError("injected: train step diverged")
+
+    monkeypatch.setattr(experiments_module, "train_step", diverged)
+    with pytest.raises(FloatingPointError):
+        run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=38, **FAST))
+    # the finished run's files stay, but no report.json vouches for them
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES)
+
+
+def test_resume_on_another_dataset_is_refused_before_any_write(tmp_path, capsys):
+    tasks = ("pendulum-swingup", "cartpole-balance")
+    for seed in (1, 2):
+        generate_dataset(tmp_path / f"data{seed}", num_episodes=1, policy="random",
+                         seed=seed, tasks=tasks)
+    done, out = tmp_path / "done", tmp_path / "resumed"
+    run_training(RunConfig(dataset=str(tmp_path / "data1"), out=str(done), seed=31,
+                           **FAST))
+    state = read_checkpoint(done / "trainstate.tdck").metadata
+    # the dataset's file hash is in the trainstate only; model.tdck is unchanged
+    assert state["dataset_sha256"] == file_hash(tmp_path / "data1" / "dataset.tdck")
+    assert "dataset_sha256" not in read_checkpoint(done / "model.tdck").metadata
+    rc = main(_resume_argv("train", tmp_path / "data2", out, done / "trainstate.tdck",
+                           40, 31, {}))
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "is from another run: dataset_sha256" in err
+    assert not out.exists()
+    # a trainstate written before trainstates recorded their dataset
+    old = read_checkpoint(done / "trainstate.tdck")
+    del old.metadata["dataset_sha256"]
+    write_checkpoint(done / "old.tdck", old)
+    with pytest.raises(ResumeMismatchError, match="holds no dataset_sha256"):
+        run_training(RunConfig(dataset=str(tmp_path / "data1"), out=str(out), seed=31,
+                               resume=str(done / "old.tdck"), **{**FAST, "steps": 40}))
+    assert not out.exists()
+
+
+def test_eval_reads_its_checkpoint_once_and_reports_its_file_hash(teacher_ckpt, tmp_path,
+                                                                  monkeypatch):
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    report = run_eval(teacher_ckpt, tmp_path / "eval", ["pendulum-swingup"], 1, seed=0,
+                      planner_cfg=planner_config(RunConfig(**TINY_PLAN)))
+    assert reads == [teacher_ckpt.name]
+    monkeypatch.undo()
+    assert report["checkpoint_hash"] == file_hash(teacher_ckpt)

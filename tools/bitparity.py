@@ -11,7 +11,10 @@ the package imported from that checkout's src/, it runs at a fixed seed:
     distill    student, batch 32 (or B), against that teacher, in the
                reward_only, latent_linear and latent_pca modes, the
                latent_linear run once more, resumed from a 30-step
-               trainstate, and a reward_only student with tanh activations
+               trainstate, a reward_only student with tanh activations, and
+               a reward_only student with a periodic eval every 10 of its 30
+               steps (one episode per task, a cut-down planner), the only
+               run with periodic evals
     sweep      a student sweep with d_coef 0 and 0.5 against two teachers,
                that teacher and the reward_only student (4 cells, each
                teacher shared by two), batch 32 (or B), 60 steps each
@@ -51,6 +54,9 @@ from pathlib import Path
 
 TRAIN_FLAGS = ["--horizon", "3", "--log-interval", "10", "--eval-episodes", "0",
                "--eval-every", "0"]
+# the periodic-eval run's flags, which override TRAIN_FLAGS' evals
+PERIODIC_FLAGS = ["--eval-every", "10", "--eval-episodes", "1", "--plan-horizon", "1",
+                  "--plan-samples", "8", "--plan-elites", "2", "--plan-iterations", "1"]
 MODES = ("reward_only", "latent_linear", "latent_pca")
 # the items of a resumed run that must equal its uninterrupted run's
 RESUMED_ITEMS = ("model", "trainstate", "losses_csv", "metrics_csv")
@@ -136,6 +142,8 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     values.update(training("latent_linear-resumed"))
     distill("reward_only", "tanh", "60", "--activation", "tanh")
     values.update(training("tanh"))
+    distill("reward_only", "periodic", "30", *PERIODIC_FLAGS)
+    values.update(training("periodic"))
     cli("sweep", "--dataset", "data", "--out", "sweep",
         "--grid-teacher", "teacher/model.tdck,reward_only/model.tdck",
         "--preset", "student", "--steps", "60", "--batch-size", str(batch or 32),
