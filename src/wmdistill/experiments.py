@@ -4,15 +4,15 @@ load the dataset and each teacher once and share them with every cell.
 
 Every run writes into its output directory, each file through
 `checkpoint.write_atomic`, so it is replaced whole or left as it was. A
-training run rewrites the next four files at each periodic eval and at its
-end, and writes report.json last, once it is done:
+training run rewrites trainstate.tdck and the CSVs at each loss row, writes
+model.tdck once at its end, and report.json last, once it is done:
 
     config.txt       fully-resolved key=value config (sufficient to
                      reproduce the run bit-for-bit)
     losses.csv       one row per logged step:
                      step,consistency,reward,value,distill,total
     metrics.csv      long-form plot data: step,metric,value,task
-    model.tdck       the weights (including the target head)
+    model.tdck       the finished weights (including the target head)
     trainstate.tdck  weights + Adam moments + step counter + the loss and
                      periodic-eval metric rows so far + dataset sha256
     report.json      scores, checkpoint hashes, wall clock, config snapshot
@@ -81,7 +81,7 @@ def cli_flag(name: str) -> str:
 # (RunConfig field, comparison, bound) for every bounded field;
 # PlannerConfig checks the plan_* ones
 _BOUNDS = (("seed", ">=", 0), ("steps", ">=", 0), ("batch_size", ">=", 1),
-           ("log_interval", ">=", 1), ("eval_episodes", ">=", 0), ("eval_every", ">=", -1),
+           ("log_interval", ">=", 1), ("eval_episodes", ">=", 0), ("eval_every", ">=", 0),
            ("horizon", ">=", 1), ("rho", ">", 0), ("rho", "<=", 1),
            ("alpha_consistency", ">=", 0), ("alpha_reward", ">=", 0),
            ("alpha_value", ">=", 0), ("d_coef", ">=", 0), ("latent_coef", ">=", 0),
@@ -125,7 +125,7 @@ class RunConfig:
     latent_coef: float = _setting(1.0, "latent term weight inside the distill term")
     teacher: str = _setting("", "frozen teacher checkpoint")
     log_interval: int = _setting(50, "steps between loss rows")
-    eval_every: int = _setting(-1, "steps between periodic evals (0 disables, -1 auto)")
+    eval_every: int = _setting(0, "steps between periodic evals (0: final eval only)")
     eval_episodes: int = _setting(10, "episodes per task per eval")
     plan_horizon: int = _setting(PlannerConfig.horizon, "planner horizon")
     plan_samples: int = _setting(PlannerConfig.num_samples, "planner candidates")
@@ -238,20 +238,13 @@ def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
     return ckpt
 
 
-def _eval_every(cfg: RunConfig) -> int:
-    """The steps between the run's periodic evals; 0 when it makes none."""
-    if cfg.eval_episodes == 0:
-        return 0
-    return cfg.eval_every if cfg.eval_every >= 0 else cfg.steps // 10
-
-
 def _read_trainstate(cfg: RunConfig, dataset: Dataset,
                      teacher: Optional[FrozenTeacher]) -> Checkpoint:
     """The --resume trainstate, once it is known to continue this run: it
     holds a step and the rows so far, its training metadata (all but
     `steps`), preset, activation, teacher fingerprint and dataset digest
     equal the run's, and its rows are at the steps where this run's
-    --log-interval and effective --eval-every write rows."""
+    --log-interval and --eval-every (none without --eval-episodes) write rows."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
     missing = [key for key in ("step", _DATASET_KEY, *_ROW_KEYS) if key not in md]
@@ -267,7 +260,8 @@ def _read_trainstate(cfg: RunConfig, dataset: Dataset,
              for key in keys if md.get(key) != want.get(key)]
     step = int(md["step"])
     for name, key, every in (("log_interval", "loss_rows", cfg.log_interval),
-                             ("eval_every", "metric_rows", _eval_every(cfg))):
+                             ("eval_every", "metric_rows",
+                              cfg.eval_every if cfg.eval_episodes else 0)):
         have = list(dict.fromkeys(int(row.split(",", 1)[0])
                                   for row in md[key].split(";")[1:]))
         run = list(range(every, step + 1, every)) if every else []
@@ -299,11 +293,11 @@ def _load_trainstate(ckpt: Checkpoint, model: WorldModel, opts: Sequence[Adam]
 
 def _write_run(out: Path, step: int, model: WorldModel, opts: Sequence[Adam],
                metadata: Dict[str, str], dataset: Dataset,
-               teacher: Optional[FrozenTeacher], rows) -> Dict[str, str]:
+               teacher: Optional[FrozenTeacher], rows, final: bool) -> Dict[str, str]:
     """Write a run's files as of `step`, after the frozen-teacher check (so a
-    mutated teacher leaves no model): model.tdck, trainstate.tdck with the
-    loss and metric `rows` so far, and losses.csv and metrics.csv; returns
-    the checkpoints' hashes."""
+    mutated teacher leaves no model): at the `final` step model.tdck, then
+    trainstate.tdck with the loss and metric `rows` so far, and losses.csv
+    and metrics.csv; returns the checkpoints' hashes."""
     if teacher is not None:
         after = teacher.refingerprint()
         if after != teacher.fingerprint:
@@ -311,8 +305,9 @@ def _write_run(out: Path, step: int, model: WorldModel, opts: Sequence[Adam],
                                f"({teacher.fingerprint} -> {after})")
     state = _trainstate_checkpoint(model, opts, step,
                                    {**metadata, _DATASET_KEY: dataset.sha256}, rows)
-    hashes = {"model": write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata)),
-              "trainstate": write_checkpoint(out / "trainstate.tdck", state)}
+    hashes = ({"model": write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))}
+              if final else {})
+    hashes["trainstate"] = write_checkpoint(out / "trainstate.tdck", state)
     for name, lines in zip(("losses.csv", "metrics.csv"), rows):
         write_atomic(out / name, [text_lines(lines)])
     return hashes
@@ -377,7 +372,8 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg, command)
-    (out / "report.json").unlink(missing_ok=True)  # it marks a finished run
+    for name in ("report.json", "model.tdck"):  # each marks a finished run
+        (out / name).unlink(missing_ok=True)
 
     suite = MultiTaskSuite(tuple(tasks))
     model = WorldModel(dataset.obs_dim, dataset.act_dim, cfg.preset,
@@ -404,7 +400,7 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
 
     rows = (loss_rows, metric_rows)
     metadata = _train_metadata(cfg, tasks, teacher)
-    eval_every = _eval_every(cfg)
+    eval_every = cfg.eval_every if cfg.eval_episodes else 0
     final_eval: Optional[EvalResult] = None
     for step in range(start_step, cfg.steps):
         rng = stream(cfg.seed, "batch", step)
@@ -413,19 +409,21 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
             bd = distill_train_step(teacher, model, batch, cfg, *opts, projection)
         else:
             bd = train_step(model, batch, cfg, *opts)
-        if (step + 1) % cfg.log_interval == 0:
-            loss_rows.append(f"{step + 1},{bd.consistency:.8g},{bd.reward:.8g},"
-                             f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
         if eval_every and (step + 1) % eval_every == 0:
             res = evaluate_model(model, tasks, cfg.eval_episodes, cfg.seed,
                                  planner_config(cfg), cfg.gamma, suite)
             metric_rows.extend(_metrics_rows(step + 1, res))
-            hashes = _write_run(out, step + 1, model, opts, metadata, dataset, teacher, rows)
             if step + 1 == cfg.steps:  # it scored the final model: the final eval
                 final_eval = res
+        if (step + 1) % cfg.log_interval == 0:
+            loss_rows.append(f"{step + 1},{bd.consistency:.8g},{bd.reward:.8g},"
+                             f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
+            if step + 1 < cfg.steps:  # the end write below holds the last step
+                _write_run(out, step + 1, model, opts, metadata, dataset, teacher, rows,
+                           final=False)
 
-    if final_eval is None:  # no periodic eval wrote the last step's files
-        hashes = _write_run(out, cfg.steps, model, opts, metadata, dataset, teacher, rows)
+    hashes = _write_run(out, cfg.steps, model, opts, metadata, dataset, teacher, rows,
+                        final=True)
     # the final eval's rows belong to the run's end, not to the trainstate
     if cfg.eval_episodes > 0:
         if final_eval is None:

@@ -81,8 +81,9 @@ def fp16_round_trip(values: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
-    """Quantize every f32 tensor to f16 storage; f16 tensors pass through."""
-    bytes_before = model_size_bytes(ckpt)
+    """Quantize every f32 tensor to f16 storage; f16 tensors pass through.
+    The f16 file is the f32 one less half of each f32 tensor's payload."""
+    bytes_before = bytes_after = model_size_bytes(ckpt)
     out = Checkpoint(metadata=dict(ckpt.metadata))
     overflow = 0
     per_tensor: Dict[str, Tuple[float, float]] = {}
@@ -102,7 +103,8 @@ def to_fp16(ckpt: Checkpoint) -> Tuple[Checkpoint, QuantReport]:
         np.divide(err, mag, out=err, where=mag > 0)
         per_tensor[name] = (abs_max, float(err.max(initial=0.0)))
         out.add_tensor(name, "f16", half.view(np.uint16))
-    report = QuantReport(bytes_before, model_size_bytes(out), overflow, per_tensor)
+        bytes_after -= entry.payload_bytes() // 2
+    report = QuantReport(bytes_before, bytes_after, overflow, per_tensor)
     return out, report
 
 

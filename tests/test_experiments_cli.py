@@ -150,6 +150,8 @@ RUN_FILES = ("config.txt", "model.tdck", "trainstate.tdck", "losses.csv", "metri
 # a resumed run's config.txt records its --resume and --out; the rest of its
 # files equal the uninterrupted run's
 RESUMED_FILES = RUN_FILES[1:]
+# the files of a run that has not finished: model.tdck is written at the end
+UNFINISHED_FILES = tuple(name for name in RUN_FILES if name != "model.tdck")
 
 
 def _same_run(a, b, names=RUN_FILES):
@@ -572,7 +574,7 @@ def test_gen_data_bad_input_is_usage_error(tmp_path, capsys, flag, value, named)
     ("train", "--plan-elites", "0"),
     ("train", "--steps", "-5"), ("train", "--batch-size", "0"),
     ("train", "--log-interval", "0"), ("train", "--eval-episodes", "-1"),
-    ("train", "--eval-every", "-2")])
+    ("train", "--eval-every", "-1")])
 def test_out_of_range_setting_is_usage_error(data_dir, teacher_ckpt, tmp_path, capsys,
                                              command, flag, value):
     out = tmp_path / "run"
@@ -855,7 +857,7 @@ def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
     ("trainstate.tdck", 40, 31, "teacher_fingerprint", {"teacher": "model.tdck"}),
     ("trainstate.tdck", 40, 31, "log_interval: loss_rows", {"log_interval": 2}),
     ("trainstate.tdck", 40, 31, "eval_every: metric_rows",
-     {"eval_every": -1, "eval_episodes": 1})])
+     {"eval_every": 10, "eval_episodes": 1})])
 def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt,
                                                           tmp_path, capsys, resume,
                                                           steps, seed, named, changed):
@@ -1048,7 +1050,7 @@ def test_trainstate_teacher_is_usage_error(data_dir, teacher_ckpt, tmp_path, cap
 # --- the final eval ----------------------------------------------------------
 
 # (eval_every, the steps the loop evaluates at); a run of 10 steps
-@pytest.mark.parametrize("eval_every, periodic", [(-1, list(range(1, 11))),
+@pytest.mark.parametrize("eval_every, periodic", [(1, list(range(1, 11))),
                                                   (5, [5, 10]), (4, [4, 8])])
 def test_final_eval_reuses_a_periodic_eval_at_the_last_step(data_dir, tmp_path,
                                                             monkeypatch, eval_every,
@@ -1180,16 +1182,20 @@ def test_sweep_without_a_teacher_refuses_distillation_before_any_cell(data_dir,
     assert not out.exists()
 
 
-# --- a run's files as of its last periodic eval: a killed run resumes --------
+# --- a run's files as of its last loss row: a killed run resumes -------------
 
 class _Killed(Exception):
-    """Stands in for a kill between two periodic evals."""
+    """Stands in for a kill between two loss rows."""
 
 
-@pytest.mark.parametrize("mode", [None, "reward_only", "latent_linear", "latent_pca"])
+# (mode, eval_every): a periodic eval at each loss row, or no eval at all
+@pytest.mark.parametrize("mode, eval_every", [
+    pytest.param(mode, eval_every, id=f"{mode}{'' if eval_every else '-no-evals'}")
+    for eval_every in (5, 0) for mode in (None, "reward_only", "latent_linear", "latent_pca")])
 def test_a_killed_run_resumes_to_the_uninterrupted_runs_files(data_dir, teacher_ckpt,
-                                                              tmp_path, mode):
-    settings = {**FAST, "eval_every": 5, "eval_episodes": 1, **TINY_PLAN}
+                                                              tmp_path, mode, eval_every):
+    settings = {**FAST, "eval_every": eval_every, "eval_episodes": int(eval_every > 0),
+                **TINY_PLAN}
     if mode:
         settings.update(d_coef=0.5, mode=mode, teacher=str(teacher_ckpt))
 
@@ -1212,8 +1218,9 @@ def test_a_killed_run_resumes_to_the_uninterrupted_runs_files(data_dir, teacher_
         with pytest.raises(_Killed):
             run("killed")
     killed = tmp_path / "killed"
-    # the files of the eval at step 10, and no report.json: the run did not finish
-    assert sorted(p.name for p in killed.iterdir()) == sorted(RUN_FILES)
+    # the files of the loss row at step 10, and no model.tdck or report.json:
+    # the run did not finish
+    assert sorted(p.name for p in killed.iterdir()) == sorted(UNFINISHED_FILES)
     state = read_checkpoint(killed / "trainstate.tdck").metadata
     assert state["step"] == "10"
     assert (killed / "losses.csv").read_text().split() == state["loss_rows"].split(";")
@@ -1223,13 +1230,15 @@ def test_a_killed_run_resumes_to_the_uninterrupted_runs_files(data_dir, teacher_
     assert (killed / "report.json").exists()
 
 
-# (eval_episodes, eval_every, the writes of model.tdck, trainstate.tdck and
-# losses.csv, the writes of metrics.csv); a run of 20 steps
-@pytest.mark.parametrize("eval_episodes, eval_every, state_writes, metric_writes",
-                         [(0, 5, 1, 1), (1, 0, 1, 2), (1, 5, 4, 5)])
-def test_a_run_writes_its_files_at_each_periodic_eval_and_at_its_end(
-        data_dir, tmp_path, monkeypatch, eval_episodes, eval_every, state_writes,
-        metric_writes):
+# (eval_episodes, eval_every, log_interval, the writes of trainstate.tdck and
+# losses.csv, the writes of metrics.csv); a run of 20 steps, which writes at
+# each loss row before its last step and once at its end
+@pytest.mark.parametrize("eval_episodes, eval_every, log_interval, state_writes, "
+                         "metric_writes", [(0, 5, 5, 4, 4), (1, 0, 5, 4, 5),
+                                           (1, 5, 5, 4, 5), (0, 0, 6, 4, 4)])
+def test_a_run_writes_at_each_loss_row_and_its_model_at_its_end(
+        data_dir, tmp_path, monkeypatch, eval_episodes, eval_every, log_interval,
+        state_writes, metric_writes):
     writes = []
     real = experiments_module.write_atomic
 
@@ -1241,11 +1250,15 @@ def test_a_run_writes_its_files_at_each_periodic_eval_and_at_its_end(
         monkeypatch.setattr(module, "write_atomic", counted)
     run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / "run"), seed=36,
                            **{**FAST, "eval_episodes": eval_episodes,
-                              "eval_every": eval_every}, **TINY_PLAN))
+                              "eval_every": eval_every, "log_interval": log_interval},
+                           **TINY_PLAN))
     assert {name: writes.count(name) for name in writes} == {
-        "config.txt": 1, "model.tdck": state_writes, "trainstate.tdck": state_writes,
+        "config.txt": 1, "model.tdck": 1, "trainstate.tdck": state_writes,
         "losses.csv": state_writes, "metrics.csv": metric_writes, "report.json": 1}
-    assert writes[-1] == "report.json"
+    # the end write, model.tdck first; then the final eval's rows and the report
+    end = ["model.tdck", "trainstate.tdck", "losses.csv", "metrics.csv",
+           *["metrics.csv"] * eval_episodes, "report.json"]
+    assert writes[-len(end):] == end
 
 
 def test_a_report_json_left_in_the_directory_is_removed_at_the_start(data_dir, tmp_path,
@@ -1259,8 +1272,9 @@ def test_a_report_json_left_in_the_directory_is_removed_at_the_start(data_dir, t
     monkeypatch.setattr(experiments_module, "train_step", diverged)
     with pytest.raises(FloatingPointError):
         run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=38, **FAST))
-    # the finished run's files stay, but no report.json vouches for them
-    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES)
+    # the finished run's model.tdck and report.json go with its start; the
+    # files it left no longer vouch for a finished run
+    assert sorted(p.name for p in out.iterdir()) == sorted(UNFINISHED_FILES)
 
 
 def test_resume_on_another_dataset_is_refused_before_any_write(tmp_path, capsys):

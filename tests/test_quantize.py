@@ -325,6 +325,7 @@ def _adversarial_checkpoint():
 def _checkpoints():
     yield "student", WorldModel(8, 1, "student", seed=0).to_checkpoint({"seed": "0"})
     yield "teacher-L", WorldModel(8, 1, "teacher-L", seed=1).to_checkpoint({"seed": "1"})
+    yield "f16", to_fp16(WorldModel(8, 1, "student", seed=2).to_checkpoint({"seed": "2"}))[0]
     yield "adversarial", _adversarial_checkpoint()
     yield "empty", Checkpoint(metadata={})
 
@@ -339,6 +340,8 @@ def test_to_fp16_bitwise_equals_its_frozen_predecessor(name, ckpt):
     assert report.summary() == want.summary()
     assert report.overflow_count == want.overflow_count
     assert (report.bytes_before, report.bytes_after) == (want.bytes_before, want.bytes_after)
+    # bytes_after is counted from the payloads, not from a serialized copy
+    assert report.bytes_after == model_size_bytes(ours)
     if name == "adversarial":
         assert report.overflow_count == 7
 
