@@ -139,10 +139,13 @@ def _scoring_args(args: argparse.Namespace) -> dict:
                 planner_cfg=planner_config(cfg), gamma=cfg.gamma)
 
 
-def _parse_grid_axis(raw: str, conv):
-    if not raw:
-        return []
-    return [conv(tok) for tok in raw.split(",")]
+def _parse_grid_axis(raw: str, conv, flag: str):
+    """A --grid-* comma list's values; one `conv` refuses is a UsageError."""
+    try:
+        return [conv(tok) for tok in raw.split(",")] if raw else []
+    except ValueError:
+        raise UsageError(f"{flag} expects a comma list of {conv.__name__} values, "
+                         f"got {raw!r}") from None
 
 
 def _cmd_gen_data(args) -> int:
@@ -194,12 +197,12 @@ def _cmd_sweep(args) -> int:
     if d_raw == "reference":
         d_axis = list(DEFAULT_D_COEF_GRID)
     else:
-        d_axis = _parse_grid_axis(d_raw, float)
+        d_axis = _parse_grid_axis(d_raw, float, "--grid-d-coef")
     grid = SweepGrid(
         d_coefs=d_axis,
-        batch_sizes=_parse_grid_axis(args.grid_batch_size, int),
-        steps_list=_parse_grid_axis(args.grid_steps, int),
-        teachers=_parse_grid_axis(args.grid_teacher, str),
+        batch_sizes=_parse_grid_axis(args.grid_batch_size, int, "--grid-batch-size"),
+        steps_list=_parse_grid_axis(args.grid_steps, int, "--grid-steps"),
+        teachers=_parse_grid_axis(args.grid_teacher, str, "--grid-teacher"),
     )
     report = run_sweep(cfg, grid, cfg.out)
     ok = sum(1 for c in report["cells"] if c["status"] == "ok")

@@ -34,7 +34,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, content_hash, read_checkpoint
 from .dataset import Dataset
-from .quantize import QuantizationError, to_fp16
 from .seeding import stream
 from .world_model import (LossBreakdown, WorldModel, model_from_checkpoint,
                           stack_steps, train_step)
@@ -55,10 +54,9 @@ class FrozenTeacher:
     refingerprint() re-serializes the in-memory weights against the same
     metadata, so any accidental mutation during distillation shows up as a
     hash change. An f16 teacher's weights are its file's halves widened to
-    f32. While each is still a half, `to_fp16` narrows them back exactly, to
-    the file's hash; once one is not (a NaN, which `to_fp16` refuses, among
-    them), the f32 checkpoint is hashed instead, which never equals an f16
-    file's hash.
+    f32, so their hash as loaded is kept: while the live weights still hash
+    to it, refingerprint() gives the file's hash, and the live f32 hash, which
+    never equals an f16 file's, once they do not.
     """
 
     def __init__(self, model: WorldModel, ckpt: Checkpoint):
@@ -67,7 +65,10 @@ class FrozenTeacher:
         self.model = model
         self.metadata = dict(ckpt.metadata)
         self.fingerprint = content_hash(ckpt)
-        self.f16 = any(entry.dtype == "f16" for entry in ckpt.tensors.values())
+        # an f32 teacher's weights as loaded hash to its fingerprint itself
+        f16 = any(entry.dtype == "f16" for entry in ckpt.tensors.values())
+        self.loaded_hash = (content_hash(model.to_checkpoint(self.metadata)) if f16
+                            else self.fingerprint)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FrozenTeacher":
@@ -75,15 +76,8 @@ class FrozenTeacher:
         return cls(model_from_checkpoint(ckpt), ckpt)
 
     def refingerprint(self) -> str:
-        ckpt = self.model.to_checkpoint(self.metadata)
-        if self.f16:
-            try:
-                narrowed, report = to_fp16(ckpt)
-            except QuantizationError:  # a NaN weight: no longer the file's halves
-                return content_hash(ckpt)
-            if all(abs_err == 0.0 for abs_err, _ in report.per_tensor.values()):
-                ckpt = narrowed
-        return content_hash(ckpt)
+        live = content_hash(self.model.to_checkpoint(self.metadata))
+        return self.fingerprint if live == self.loaded_hash else live
 
 
 class LatentProjection:

@@ -15,7 +15,8 @@ model.tdck once at its end, and report.json last, once it is done:
     model.tdck       the finished weights (including the target head)
     trainstate.tdck  weights + Adam moments + step counter + the loss and
                      periodic-eval metric rows so far + dataset sha256
-    report.json      scores, checkpoint hashes, wall clock, config snapshot
+    report.json      scores, checkpoint, teacher and dataset hashes, wall
+                     clock, config snapshot
 
 Batches are sampled from per-step derived rng streams, so resuming from a
 trainstate checkpoint continues the exact batch sequence of an
@@ -52,7 +53,7 @@ from .world_model import (ACTIVATIONS, PRESETS, WorldModel, load_param,
 
 class ResumeMismatchError(UsageError):
     """A --resume trainstate belongs to another run or dataset, or is already
-    at or past the run's last step."""
+    past the run's last step."""
 
 
 # RunConfig field -> PlannerConfig field
@@ -241,10 +242,10 @@ def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
 def _read_trainstate(cfg: RunConfig, dataset: Dataset,
                      teacher: Optional[FrozenTeacher]) -> Checkpoint:
     """The --resume trainstate, once it is known to continue this run: it
-    holds a step and the rows so far, its training metadata (all but
-    `steps`), preset, activation, teacher fingerprint and dataset digest
-    equal the run's, and its rows are at the steps where this run's
-    --log-interval and --eval-every (none without --eval-episodes) write rows."""
+    holds a step no later than --steps and the rows so far, its training
+    metadata (all but `steps`), preset, activation, teacher fingerprint and
+    dataset digest equal the run's, and its rows are at the steps where this
+    run's --log-interval and --eval-every (none without --eval-episodes) write rows."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
     missing = [key for key in ("step", _DATASET_KEY, *_ROW_KEYS) if key not in md]
@@ -270,9 +271,9 @@ def _read_trainstate(cfg: RunConfig, dataset: Dataset,
     if diffs:
         raise ResumeMismatchError(f"trainstate {cfg.resume} is from another run: "
                                   + ", ".join(diffs))
-    if step >= cfg.steps:
+    if step > cfg.steps:
         raise ResumeMismatchError(f"trainstate {cfg.resume} is at step {step}, "
-                                  f"not before the run's last step {cfg.steps}")
+                                  f"past the run's last step {cfg.steps}")
     return ckpt
 
 
@@ -440,6 +441,7 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
         "normalized_score": final_eval.normalized if final_eval else None,
         "checkpoint_hashes": hashes,
         "teacher_fingerprint": teacher.fingerprint if teacher else None,
+        _DATASET_KEY: dataset.sha256,
         "wall_clock_s": time.perf_counter() - t0,
     }
     _write_report(out, report)
@@ -482,7 +484,7 @@ def _eval_tasks(ckpt: Checkpoint, requested: Optional[Sequence[str]]
     trained = tuple(meta_tasks.split(",")) if meta_tasks else ()
     tasks = list(requested) if requested else list(trained)
     if not tasks:
-        raise ValueError("no tasks given and checkpoint metadata lists none")
+        raise UsageError("no tasks given and checkpoint metadata lists none")
     if trained:
         unknown = [t for t in tasks if t not in trained]
         if unknown:
@@ -543,7 +545,8 @@ DEFAULT_D_COEF_GRID = (0.05, 0.25, 0.4, 0.55, 0.6, 0.9)
 
 
 def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
-    """One training run per grid cell; aggregated CSV sorted by score."""
+    """One training run per grid cell; sweep.csv, sorted by score, is rewritten
+    after each cell, and a rerun into `out` finishes the sweep (`_run_cell`)."""
     if not (grid.d_coefs or grid.batch_sizes or grid.steps_list or grid.teachers):
         raise UsageError("sweep grid is empty: give at least one --grid-* axis")
     t0 = time.perf_counter()
@@ -567,12 +570,20 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     for cfg in cells:
         _check_distillation(cfg)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").unlink(missing_ok=True)  # it marks a finished sweep
+
+    def sort_key(row):
+        score = row["score"] if row["score"] is not None else -np.inf
+        return (-score, str(row["d_coef"]), str(row["batch_size"]),
+                str(row["steps"]), row["teacher"])
+
     rows = []
     for cfg in cells:
         cell_out = Path(cfg.out)
         error = None
         try:
-            report = _train(cfg, dataset, teachers.get(cfg.teacher))
+            report = _run_cell(cfg, dataset, teachers.get(cfg.teacher))
+            (cell_out / "error.txt").unlink(missing_ok=True)
             score = report["normalized_score"]
             status = "ok"
         except Exception as exc:  # cell failures are recorded, sweep continues
@@ -584,19 +595,14 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
                      "d_coef": cfg.d_coef, "batch_size": cfg.batch_size,
                      "steps": cfg.steps, "teacher": labels[cfg.teacher],
                      "out_dir": cfg.out})
+        rows.sort(key=sort_key)
+        csv_lines = ["score,status,d_coef,batch_size,steps,teacher,out_dir"]
+        for r in rows:
+            score = "" if r["score"] is None else f"{r['score']:.6g}"
+            csv_lines.append(f"{score},{r['status']},{r['d_coef']},{r['batch_size']},"
+                             f"{r['steps']},{r['teacher']},{r['out_dir']}")
+        write_atomic(out / "sweep.csv", [text_lines(csv_lines)])
 
-    def sort_key(row):
-        score = row["score"] if row["score"] is not None else -np.inf
-        return (-score, str(row["d_coef"]), str(row["batch_size"]),
-                str(row["steps"]), row["teacher"])
-
-    rows.sort(key=sort_key)
-    csv_lines = ["score,status,d_coef,batch_size,steps,teacher,out_dir"]
-    for r in rows:
-        score = "" if r["score"] is None else f"{r['score']:.6g}"
-        csv_lines.append(f"{score},{r['status']},{r['d_coef']},{r['batch_size']},"
-                         f"{r['steps']},{r['teacher']},{r['out_dir']}")
-    write_atomic(out / "sweep.csv", [text_lines(csv_lines)])
     report = {
         "command": "sweep",
         "cells": rows,
@@ -604,3 +610,20 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
     }
     _write_report(out, report)
     return report
+
+
+def _run_cell(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -> dict:
+    """A sweep cell's report: the one in its directory if it is that of a
+    finished run of `cfg` (--resume aside) on `dataset` from `teacher`; else
+    that of a run resumed from the directory's trainstate.tdck, through
+    --resume's checks; else that of a new run."""
+    cell_out = Path(cfg.out)
+    if (cell_out / "report.json").exists():
+        report = json.loads((cell_out / "report.json").read_text(encoding="utf-8"))
+        done = ({**report["config"], "resume": ""}, report["teacher_fingerprint"],
+                report.get(_DATASET_KEY))
+        if done == (asdict(cfg), teacher and teacher.fingerprint, dataset.sha256):
+            return report
+    if (cell_out / "trainstate.tdck").exists():
+        cfg = replace(cfg, resume=str(cell_out / "trainstate.tdck"))
+    return _train(cfg, dataset, teacher)

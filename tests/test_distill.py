@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wmdistill.autodiff as ad
+import wmdistill.distill as distill_module
 from wmdistill.checkpoint import write_checkpoint
 from wmdistill.dataset import TransitionBatch
 from wmdistill.distill import (DegenerateDataError, FrozenTeacher,
@@ -11,6 +12,7 @@ from wmdistill.distill import (DegenerateDataError, FrozenTeacher,
                                distill_train_step, fit_pca,
                                latent_distill_loss, reward_distill_loss)
 from wmdistill.experiments import RunConfig
+from wmdistill.quantize import to_fp16
 from wmdistill.world_model import (LossBreakdown, SizePreset, WorldModel,
                                    make_optimizers, original_loss, train_step)
 
@@ -460,6 +462,27 @@ def test_reward_distill_nonnegative_and_zero_iff_equal():
     for _ in range(10):
         batch = make_batch(rng)
         assert reward_distill_loss(teacher, student, batch).item() >= 0.0
+
+
+@pytest.mark.parametrize("f16, load_hashes", [(False, 1), (True, 2)])
+def test_frozen_teacher_check_hashes_its_weights_once(tmp_path, monkeypatch, f16,
+                                                      load_hashes):
+    # an f32 teacher's weights as loaded hash to its fingerprint; an f16
+    # teacher's widened weights are hashed once more, at load
+    ckpt = WorldModel(3, 1, MICRO_T, seed=71).to_checkpoint({"seed": "71"})
+    path = tmp_path / "teacher.tdck"
+    write_checkpoint(path, to_fp16(ckpt)[0] if f16 else ckpt)
+    hashes = []
+    content_hash = distill_module.content_hash
+    monkeypatch.setattr(distill_module, "content_hash",
+                        lambda c: hashes.append(c) or content_hash(c))
+    teacher = FrozenTeacher.load(path)
+    assert len(hashes) == load_hashes
+    assert teacher.refingerprint() == teacher.fingerprint
+    assert len(hashes) == load_hashes + 1
+    weight = teacher.model.heads()["reward"].weights[0].data
+    weight[0, 0] = np.nextafter(weight[0, 0], np.float32(np.inf))
+    assert teacher.refingerprint() != teacher.fingerprint
 
 
 def test_frozen_teacher_roundtrips_through_file(tmp_path):

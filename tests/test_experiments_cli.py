@@ -534,6 +534,17 @@ def test_eval_task_outside_checkpoint_is_usage_error(tmp_path, capsys):
     assert "cup-catch" in err and "not trained on" in err
 
 
+def test_eval_of_a_checkpoint_without_tasks_needs_tasks(tmp_path, capsys):
+    path = tmp_path / "model.tdck"
+    write_checkpoint(path, WorldModel(8, 1, "student", seed=4).to_checkpoint())
+    rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"),
+               "--episodes", "1"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: no tasks given and checkpoint metadata lists none")
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("tasks", ["cup-catch",
                                    "cup-catch,cartpole-balance,pendulum-swingup"],
                          ids=["subset", "reordered"])
@@ -629,6 +640,29 @@ def test_bad_training_setting_is_usage_error(data_dir, teacher_ckpt, tmp_path, c
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {flag} {said}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--grid-d-coef", "abc"),
+                                         ("--grid-batch-size", "4,,8"),
+                                         ("--grid-steps", "1.5")])
+def test_sweep_grid_value_that_does_not_parse_runs_no_cell(data_dir, tmp_path, capsys,
+                                                           flag, value):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "0",
+               "--eval-episodes", "0", flag, value])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} expects a comma list of ")
+    assert not out.exists()
+
+
+def test_sweep_grid_teacher_empty_entry_trains_from_scratch(data_dir, teacher_ckpt,
+                                                            tmp_path):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--dataset", str(data_dir), "--out", str(out), "--steps", "0",
+               "--eval-episodes", "0", "--grid-teacher", f"{teacher_ckpt},"])
+    assert rc == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(c["teacher"] for c in report["cells"]) == ["none", "teacher-S"]
 
 
 def test_sweep_grid_d_coef_out_of_range_runs_no_cell(data_dir, teacher_ckpt, tmp_path,
@@ -848,7 +882,7 @@ def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
 # `teacher` in the changed flags makes both runs distill with d_coef 0.5: the
 # finished one from `teacher_ckpt`, the resumed one from the finished model.
 @pytest.mark.parametrize("resume, steps, seed, named, changed", [
-    ("trainstate.tdck", 10, 31, "step 20", {}), ("trainstate.tdck", 20, 31, "step 20", {}),
+    ("trainstate.tdck", 10, 31, "step 20", {}),
     ("trainstate.tdck", 40, 32, "seed '31'", {}),
     ("model.tdck", 40, 31, "not a trainstate", {}),
     ("old.tdck", 40, 31, "holds no loss_rows, metric_rows", {}),
@@ -1230,6 +1264,29 @@ def test_a_killed_run_resumes_to_the_uninterrupted_runs_files(data_dir, teacher_
     assert (killed / "report.json").exists()
 
 
+def test_a_run_killed_in_its_final_eval_finishes_by_resume(data_dir, tmp_path):
+    def run(name, resume=""):
+        run_training(RunConfig(dataset=str(data_dir), out=str(tmp_path / name), seed=34,
+                               resume=resume, **{**FAST, "eval_episodes": 1},
+                               **TINY_PLAN))
+
+    run("full")
+
+    def killed_eval(*args):
+        raise _Killed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments_module, "evaluate_model", killed_eval)
+        with pytest.raises(_Killed):
+            run("killed")
+    killed = tmp_path / "killed"
+    assert sorted(p.name for p in killed.iterdir()) == sorted(RUN_FILES)
+    assert read_checkpoint(killed / "trainstate.tdck").metadata["step"] == "20"
+    run("killed", str(killed / "trainstate.tdck"))
+    _same_run(tmp_path / "full", killed, RESUMED_FILES)
+    assert (killed / "report.json").exists()
+
+
 # (eval_episodes, eval_every, log_interval, the writes of trainstate.tdck and
 # losses.csv, the writes of metrics.csv); a run of 20 steps, which writes at
 # each loss row before its last step and once at its end
@@ -1320,3 +1377,125 @@ def test_eval_reads_its_checkpoint_once_and_reports_its_file_hash(teacher_ckpt, 
     assert reads == [teacher_ckpt.name]
     monkeypatch.undo()
     assert report["checkpoint_hash"] == file_hash(teacher_ckpt)
+
+
+# --- a killed sweep is finished by rerunning it ------------------------------
+
+def _sweep_argv(data_dir, *extra):
+    return ["sweep", "--dataset", str(data_dir), "--out", "sweep", "--seed", "39",
+            "--batch-size", "8", "--log-interval", "5", "--eval-episodes", "1",
+            *(arg for key, value in TINY_PLAN.items() for arg in (cli_flag(key), str(value))),
+            *extra]
+
+
+def _settings(config):
+    """A config.txt's lines but its out= and resume= ones."""
+    return [line for line in config.read_text().splitlines()
+            if not line.startswith(("out=", "resume="))]
+
+
+def test_a_killed_sweep_is_finished_by_rerunning_it(data_dir, tmp_path, monkeypatch):
+    argv = _sweep_argv(data_dir, "--grid-steps", "20,30")
+    full = _run_in(tmp_path / "a", monkeypatch, argv).parent / "sweep"
+    step, calls = experiments_module.train_step, []
+
+    def killed_in_the_second_cell(*args):
+        calls.append(args)
+        if len(calls) == 20 + 13:
+            raise KeyboardInterrupt
+        return step(*args)
+
+    root = tmp_path / "b"
+    (root / "sweep").mkdir(parents=True)
+    (root / "sweep" / "report.json").write_text("{}")  # a finished sweep's
+    monkeypatch.chdir(root)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments_module, "train_step", killed_in_the_second_cell)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    killed = root / "sweep"
+    # the first cell's row, and no report.json: the sweep did not finish
+    table = (killed / "sweep.csv").read_text().splitlines()
+    assert len(table) == 2 and "_s20_" in table[1]
+    assert not (killed / "report.json").exists()
+    second = sorted(p for p in killed.iterdir() if p.is_dir())[1]
+    assert read_checkpoint(second / "trainstate.tdck").metadata["step"] == "10"
+
+    steps = []
+    monkeypatch.setattr(experiments_module, "train_step",
+                        lambda *args: steps.append(args) or step(*args))
+    assert main(argv) == EXIT_OK
+    assert len(steps) == 30 - 10  # the second cell's remaining steps alone
+    assert (full / "sweep.csv").read_bytes() == (killed / "sweep.csv").read_bytes()
+    cells = sorted(p.name for p in full.iterdir() if p.is_dir())
+    assert cells == sorted(p.name for p in killed.iterdir() if p.is_dir())
+    for cell in cells:
+        _same_run(full / cell, killed / cell, RESUMED_FILES)
+        assert _settings(full / cell / "config.txt") == _settings(killed / cell /
+                                                                  "config.txt")
+    assert "resume=" + str(Path("sweep") / cells[1] / "trainstate.tdck") \
+        in (killed / cells[1] / "config.txt").read_text().splitlines()
+    assert (killed / "report.json").exists()
+
+
+def test_a_sweep_rerun_trains_only_the_cells_it_has_not_finished(
+        data_dir, teacher_ckpt, tmp_path, monkeypatch):
+    # a distilling cell and a from-scratch one
+    argv = _sweep_argv(data_dir, "--steps", "5", "--grid-teacher", f"{teacher_ckpt},")
+    calls = []
+    for name in ("train_step", "distill_train_step", "evaluate_model"):
+        real = getattr(experiments_module, name)
+        monkeypatch.setattr(experiments_module, name,
+                            lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+
+    def statuses():
+        report = json.loads((tmp_path / "run" / "sweep" / "report.json").read_text())
+        return {Path(c["out_dir"]).name: c["status"] for c in report["cells"]}
+
+    with _failing_distill_steps():
+        _run_in(tmp_path / "run", monkeypatch, argv)
+    failed = {cell: status for cell, status in statuses().items() if status != "ok"}
+    assert list(failed.values()) == ["error:FloatingPointError"]
+    (cell,) = failed
+    error = tmp_path / "run" / "sweep" / cell / "error.txt"
+    assert error.exists()
+
+    # the failed cell trains and evaluates again, and its error.txt goes
+    calls.clear()
+    assert main(argv) == EXIT_OK
+    assert calls == ["distill_train_step"] * 5 + ["evaluate_model"]
+    assert set(statuses().values()) == {"ok"}
+    assert not error.exists()
+    finished = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*")
+                if p.is_file() and p.name != "report.json"}
+
+    # a finished sweep: each cell's row comes from its report.json
+    calls.clear()
+    assert main(argv) == EXIT_OK
+    assert calls == []
+    assert set(statuses().values()) == {"ok"}
+    assert all(path.read_bytes() == data for path, data in finished.items())
+
+    # a rerun of another config resumes each cell's trainstate, which refuses it
+    assert main(argv + ["--lr", "0.001"]) == EXIT_OK
+    assert calls == []
+    assert set(statuses().values()) == {"error:ResumeMismatchError"}
+    assert "lr '0.0003' (run: '0.001')" in error.read_text()
+
+
+def test_a_sweep_rerun_on_a_regenerated_dataset_reuses_no_cell(tmp_path):
+    data = tmp_path / "data"
+    base = RunConfig(dataset=str(data), seed=40, **{**FAST, "steps": 5})
+    grid = SweepGrid([], [], [5, 10], [])
+    generate_dataset(data, num_episodes=1, policy="random", seed=1,
+                     tasks=("pendulum-swingup",))
+    first = run_sweep(base, grid, tmp_path / "sweep")
+    report = json.loads((Path(first["cells"][0]["out_dir"]) / "report.json").read_text())
+    assert report["dataset_sha256"] == file_hash(data / "dataset.tdck")
+    # the same path, the same config, another dataset
+    generate_dataset(data, num_episodes=1, policy="random", seed=2,
+                     tasks=("pendulum-swingup",))
+    rerun = run_sweep(base, grid, tmp_path / "sweep")
+    assert [c["status"] for c in rerun["cells"]] == ["error:ResumeMismatchError"] * 2
+    assert all("dataset_sha256" in c["error"] for c in rerun["cells"])

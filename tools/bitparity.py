@@ -32,7 +32,11 @@ score and both evals' metrics.csv. Within each checkout the config-replay
 model must also equal the teacher's, byte for byte (config-replay), and
 the resumed latent_linear run must equal the uninterrupted one in its
 model.tdck and trainstate.tdck hashes and its losses.csv and metrics.csv
-bytes (resume). The dataset's content
+bytes (resume), and the sweep, run once more into its --out after its first
+cell's report.json is deleted (the state a kill in that cell's final eval
+leaves), must leave sweep.csv and every cell's model.tdck, trainstate.tdck,
+losses.csv and metrics.csv as its first pass wrote them (sweep-rerun). The
+dataset's content
 is hashed by the checkout's own load_dataset: the packed obs, actions and
 rewards bytes plus each episode's task, policy, seed and length, so a
 change of container is checked on what it holds. It prints one line per
@@ -60,6 +64,8 @@ PERIODIC_FLAGS = ["--eval-every", "10", "--eval-episodes", "1", "--plan-horizon"
 MODES = ("reward_only", "latent_linear", "latent_pca")
 # the items of a resumed run that must equal its uninterrupted run's
 RESUMED_ITEMS = ("model", "trainstate", "losses_csv", "metrics_csv")
+# the files of each sweep cell that a rerun of the sweep must leave as they were
+SWEEP_CELL_FILES = ("model.tdck", "trainstate.tdck", "losses.csv", "metrics.csv")
 
 
 def _sha256(path: Path) -> str:
@@ -144,13 +150,27 @@ def run_checkout(root: Path, work: Path, seed: int, batch: int | None) -> dict:
     values.update(training("tanh"))
     distill("reward_only", "periodic", "30", *PERIODIC_FLAGS)
     values.update(training("periodic"))
-    cli("sweep", "--dataset", "data", "--out", "sweep",
-        "--grid-teacher", "teacher/model.tdck,reward_only/model.tdck",
-        "--preset", "student", "--steps", "60", "--batch-size", str(batch or 32),
-        "--seed", s, "--grid-d-coef", "0,0.5", *TRAIN_FLAGS)
+    sweep = ("sweep", "--dataset", "data", "--out", "sweep",
+             "--grid-teacher", "teacher/model.tdck,reward_only/model.tdck",
+             "--preset", "student", "--steps", "60", "--batch-size", str(batch or 32),
+             "--seed", s, "--grid-d-coef", "0,0.5", *TRAIN_FLAGS)
+    cli(*sweep)
     values["sweep.sweep_csv"] = _sha256(work / "sweep" / "sweep.csv")
-    for cell in sorted(p for p in (work / "sweep").iterdir() if p.is_dir()):
+    cells = sorted(p for p in (work / "sweep").iterdir() if p.is_dir())
+    for cell in cells:
         values.update(training(f"sweep/{cell.name}"))
+
+    def sweep_files() -> str:
+        digest = hashlib.sha256()
+        for path in [work / "sweep" / "sweep.csv",
+                     *(cell / name for cell in cells for name in SWEEP_CELL_FILES)]:
+            digest.update(f"{path.relative_to(work)}:{_sha256(path)};".encode())
+        return digest.hexdigest()
+
+    values["sweep.files"] = sweep_files()
+    (cells[0] / "report.json").unlink()
+    cli(*sweep)
+    values["sweep-rerun.files"] = sweep_files()
     cli("quantize", "--checkpoint", "reward_only/model.tdck", "--out", "quant",
         "--seed", s)
     values["f16.hash"] = json.loads((work / "quant" / "report.json").read_text())["f16_hash"]
@@ -209,6 +229,9 @@ def main(argv=None) -> int:
                            == values[f"latent_linear.{item}"] for item in RESUMED_ITEMS),
                        f"latent_linear-resumed against latent_linear in "
                        f"{', '.join(RESUMED_ITEMS)}"),
+            "sweep-rerun": (values["sweep-rerun.files"] == values["sweep.files"],
+                            f"sweep.csv and each cell's {', '.join(SWEEP_CELL_FILES)} "
+                            "against the sweep's first pass"),
         }
         for check, (ok, what) in checks.items():
             same &= ok
