@@ -17,7 +17,7 @@ so the content hash (sha256 over the serialized bytes) is well defined and
 identical for semantically equal checkpoints.
 
 Every run and dataset file is written by `write_atomic`, so it is replaced
-whole or left as it was; both binary formats are parsed by `BoundedReader`.
+whole or left as it was; `BoundedReader` parses the one format of both.
 """
 
 from __future__ import annotations

@@ -266,8 +266,8 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
                      tasks: Sequence[str] = TASKS) -> Dataset:
     """Write num_episodes per task to `dataset.tdck`; deterministic in seed.
 
-    policy is one of "random", "scripted" (alias "scripted-energy-swingup"),
-    "mixture" (even episodes random, odd scripted), or "trained:<checkpoint>".
+    policy is one of "random", "scripted", "mixture" (even episodes random,
+    odd scripted), or "trained:<checkpoint>".
     A trained checkpoint must read the layout of `tasks` (`check_layout`).
     Bad input raises UsageError before any file is written.
     """
@@ -285,8 +285,6 @@ def generate_dataset(out_dir, num_episodes: int, policy: str, seed: int,
         ckpt = read_checkpoint(path)
         check_layout(path, ckpt.metadata, suite.tasks, suite.obs_dim, suite.act_dim)
         trained = model_from_checkpoint(ckpt)
-    elif policy == "scripted-energy-swingup":
-        policy = "scripted"
     elif policy not in ("random", "scripted", "mixture"):
         raise UsageError(f"unknown behavior policy spec {policy!r}; known: random, "
                          "scripted, mixture, trained:<checkpoint>")

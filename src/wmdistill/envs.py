@@ -242,6 +242,9 @@ class MultiTaskSuite:
     """
 
     def __init__(self, tasks: Tuple[str, ...] = TASKS):
+        if not tasks or len(set(tasks)) != len(tasks):
+            raise UsageError("a task list must name at least one task, each once, "
+                             f"got {','.join(tasks)!r}")
         self.tasks = tuple(tasks)
         self.envs: Dict[str, object] = {t: make_env(t) for t in tasks}
         self.raw_obs_dim = max(e.spec.obs_dim for e in self.envs.values())

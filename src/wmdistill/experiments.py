@@ -14,13 +14,15 @@ model.tdck once at its end, and report.json last, once it is done:
     metrics.csv      long-form plot data: step,metric,value,task
     model.tdck       the finished weights (including the target head)
     trainstate.tdck  weights + Adam moments + step counter + the loss and
-                     periodic-eval metric rows so far + dataset sha256
+                     periodic-eval metric rows so far + the run's record:
+                     every setting but the paths, and the dataset's sha256
     report.json      scores, checkpoint, teacher and dataset hashes, wall
                      clock, config snapshot
 
-Batches are sampled from per-step derived rng streams, so resuming from a
-trainstate checkpoint continues the exact batch sequence of an
-uninterrupted run, and its rows continue the uninterrupted run's CSVs.
+--resume, and a sweep rerun for each cell, continue a trainstate only if its
+record equals the run's (`steps` aside). Batches are sampled from per-step
+derived rng streams, so a resumed run continues the exact batch sequence of
+an uninterrupted run, and its rows continue the uninterrupted run's CSVs.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def read_config(path) -> Dict[str, object]:
     return values
 
 
-# the RunConfig fields a trained checkpoint's metadata records; they hold
-# every setting the update step reads
+# the RunConfig fields model.tdck's metadata records; they hold every
+# setting the update step reads
 _TRAIN_KEYS = ("seed", "steps", "batch_size", "lr", "gamma", "tau",
                "alpha_consistency", "alpha_reward", "alpha_value", "rho",
                "horizon", "d_coef", "mode", "latent_coef")
@@ -209,14 +211,27 @@ def _train_metadata(cfg: RunConfig, tasks: Sequence[str],
     return md
 
 
+_DATASET_KEY = "dataset_sha256"
+
+
+def _run_record(cfg: RunConfig, dataset: Dataset,
+                teacher: Optional[FrozenTeacher]) -> Dict[str, str]:
+    """What makes a run the same run: model.tdck's metadata, every setting
+    but the paths, and the sha256 of the dataset (not in model.tdck), which
+    with the teacher's fingerprint stands for the paths' content."""
+    return {**_train_metadata(cfg, dataset.tasks, teacher),
+            **{f.name: str(getattr(cfg, f.name)) for f in fields(RunConfig)
+               if f.name not in ("dataset", "out", "teacher", "resume")},
+            _DATASET_KEY: dataset.sha256}
+
+
 # the key each optimizer's step counter and moments are stored under, in
 # make_optimizers' order
 _ADAM_KEYS = ("adam_main", "adam_policy")
 
 # the metadata keys of a trainstate's losses.csv and metrics.csv rows so far,
-# header first, joined by ";", and of its dataset's sha256 (not in model.tdck)
+# header first, joined by ";"
 _ROW_KEYS = ("loss_rows", "metric_rows")
-_DATASET_KEY = "dataset_sha256"
 
 
 def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
@@ -242,37 +257,23 @@ def _trainstate_checkpoint(model: WorldModel, opts: Sequence[Adam], step: int,
 def _read_trainstate(cfg: RunConfig, dataset: Dataset,
                      teacher: Optional[FrozenTeacher]) -> Checkpoint:
     """The --resume trainstate, once it is known to continue this run: it
-    holds a step no later than --steps and the rows so far, its training
-    metadata (all but `steps`), preset, activation, teacher fingerprint and
-    dataset digest equal the run's, and its rows are at the steps where this
-    run's --log-interval and --eval-every (none without --eval-episodes) write rows."""
+    holds a step no later than --steps and the rows so far, and its record
+    equals the run's (`_run_record`), `steps` aside."""
     ckpt = read_checkpoint(cfg.resume)
     md = ckpt.metadata
-    missing = [key for key in ("step", _DATASET_KEY, *_ROW_KEYS) if key not in md]
+    missing = [key for key in ("step", *_ROW_KEYS) if key not in md]
     if missing:
         raise ResumeMismatchError(f"{cfg.resume} is not a trainstate this version "
                                   f"resumes: it holds no {', '.join(missing)}")
-    want = {**_train_metadata(cfg, dataset.tasks, teacher), _DATASET_KEY: dataset.sha256,
-            "preset": cfg.preset, "activation": cfg.activation}
-    del want["steps"]
-    # a run without a teacher must not resume a trainstate that records one
-    keys = sorted(set(want) | {"teacher_fingerprint"})
-    diffs = [f"{key} {md.get(key)!r} (run: {want.get(key)!r})"
-             for key in keys if md.get(key) != want.get(key)]
-    step = int(md["step"])
-    for name, key, every in (("log_interval", "loss_rows", cfg.log_interval),
-                             ("eval_every", "metric_rows",
-                              cfg.eval_every if cfg.eval_episodes else 0)):
-        have = list(dict.fromkeys(int(row.split(",", 1)[0])
-                                  for row in md[key].split(";")[1:]))
-        run = list(range(every, step + 1, every)) if every else []
-        if have != run:
-            diffs.append(f"{name}: {key} first at steps {have[:3]} (run: {run[:3]})")
+    want = _run_record(cfg, dataset, teacher)
+    diffs = [f"{key} {md.get(key)!r} (run: {value!r})"
+             for key, value in sorted(want.items())
+             if key != "steps" and md.get(key) != value]
     if diffs:
         raise ResumeMismatchError(f"trainstate {cfg.resume} is from another run: "
                                   + ", ".join(diffs))
-    if step > cfg.steps:
-        raise ResumeMismatchError(f"trainstate {cfg.resume} is at step {step}, "
+    if int(md["step"]) > cfg.steps:
+        raise ResumeMismatchError(f"trainstate {cfg.resume} is at step {md['step']}, "
                                   f"past the run's last step {cfg.steps}")
     return ckpt
 
@@ -293,19 +294,18 @@ def _load_trainstate(ckpt: Checkpoint, model: WorldModel, opts: Sequence[Adam]
 
 
 def _write_run(out: Path, step: int, model: WorldModel, opts: Sequence[Adam],
-               metadata: Dict[str, str], dataset: Dataset,
+               metadata: Dict[str, str], record: Dict[str, str],
                teacher: Optional[FrozenTeacher], rows, final: bool) -> Dict[str, str]:
     """Write a run's files as of `step`, after the frozen-teacher check (so a
     mutated teacher leaves no model): at the `final` step model.tdck, then
-    trainstate.tdck with the loss and metric `rows` so far, and losses.csv
-    and metrics.csv; returns the checkpoints' hashes."""
+    trainstate.tdck with the run's `record` and the loss and metric `rows` so
+    far, and losses.csv and metrics.csv; returns the checkpoints' hashes."""
     if teacher is not None:
         after = teacher.refingerprint()
         if after != teacher.fingerprint:
             raise RuntimeError("frozen teacher was mutated during distillation "
                                f"({teacher.fingerprint} -> {after})")
-    state = _trainstate_checkpoint(model, opts, step,
-                                   {**metadata, _DATASET_KEY: dataset.sha256}, rows)
+    state = _trainstate_checkpoint(model, opts, step, record, rows)
     hashes = ({"model": write_checkpoint(out / "model.tdck", model.to_checkpoint(metadata))}
               if final else {})
     hashes["trainstate"] = write_checkpoint(out / "trainstate.tdck", state)
@@ -327,9 +327,13 @@ def _metrics_rows(step: int, result: EvalResult) -> List[str]:
 
 
 def _training_dataset(cfg: RunConfig) -> Dataset:
-    """The run's dataset, once its shortest episode is known to hold a
-    training window of `cfg.horizon` steps."""
+    """The run's dataset, once its observations are known to have its task
+    list's layout and its shortest episode to hold a training window of
+    `cfg.horizon` steps."""
     dataset = load_dataset(cfg.dataset)
+    if dataset.obs_dim != MultiTaskSuite(dataset.tasks).obs_dim:
+        raise UsageError(f"{cfg.dataset} holds {dataset.obs_dim}-wide observations; its "
+                         f"tasks {','.join(dataset.tasks)} give another layout")
     shortest = min(r.length for r in dataset.records)
     if cfg.horizon > shortest:
         raise UsageError(f"--horizon {cfg.horizon} is longer than the shortest "
@@ -401,6 +405,7 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
 
     rows = (loss_rows, metric_rows)
     metadata = _train_metadata(cfg, tasks, teacher)
+    record = _run_record(cfg, dataset, teacher)
     eval_every = cfg.eval_every if cfg.eval_episodes else 0
     final_eval: Optional[EvalResult] = None
     for step in range(start_step, cfg.steps):
@@ -420,10 +425,10 @@ def _train(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -
             loss_rows.append(f"{step + 1},{bd.consistency:.8g},{bd.reward:.8g},"
                              f"{bd.value:.8g},{bd.distill:.8g},{bd.total:.8g}")
             if step + 1 < cfg.steps:  # the end write below holds the last step
-                _write_run(out, step + 1, model, opts, metadata, dataset, teacher, rows,
+                _write_run(out, step + 1, model, opts, metadata, record, teacher, rows,
                            final=False)
 
-    hashes = _write_run(out, cfg.steps, model, opts, metadata, dataset, teacher, rows,
+    hashes = _write_run(out, cfg.steps, model, opts, metadata, record, teacher, rows,
                         final=True)
     # the final eval's rows belong to the run's end, not to the trainstate
     if cfg.eval_episodes > 0:
@@ -613,17 +618,16 @@ def run_sweep(base: RunConfig, grid: SweepGrid, out) -> dict:
 
 
 def _run_cell(cfg: RunConfig, dataset: Dataset, teacher: Optional[FrozenTeacher]) -> dict:
-    """A sweep cell's report: the one in its directory if it is that of a
-    finished run of `cfg` (--resume aside) on `dataset` from `teacher`; else
-    that of a run resumed from the directory's trainstate.tdck, through
-    --resume's checks; else that of a new run."""
+    """A sweep cell's report. A trainstate.tdck in the cell's directory goes
+    through --resume's checks: at --steps, next to a report.json from the same
+    teacher, that report is the cell's; otherwise the cell resumes from it.
+    Without one the cell trains."""
     cell_out = Path(cfg.out)
-    if (cell_out / "report.json").exists():
-        report = json.loads((cell_out / "report.json").read_text(encoding="utf-8"))
-        done = ({**report["config"], "resume": ""}, report["teacher_fingerprint"],
-                report.get(_DATASET_KEY))
-        if done == (asdict(cfg), teacher and teacher.fingerprint, dataset.sha256):
-            return report
     if (cell_out / "trainstate.tdck").exists():
         cfg = replace(cfg, resume=str(cell_out / "trainstate.tdck"))
+        at_end = _read_trainstate(cfg, dataset, teacher).metadata["step"] == str(cfg.steps)
+        if at_end and (cell_out / "report.json").exists():
+            report = json.loads((cell_out / "report.json").read_text(encoding="utf-8"))
+            if report["teacher_fingerprint"] == (teacher and teacher.fingerprint):
+                return report
     return _train(cfg, dataset, teacher)

@@ -12,7 +12,8 @@ import pytest
 
 from wmdistill.checkpoint import file_hash, read_checkpoint, write_checkpoint
 from wmdistill.cli import EXIT_OK, EXIT_USAGE, build_parser, main
-from wmdistill.dataset import generate_dataset, load_dataset, sample_batch
+from wmdistill.dataset import (Dataset, generate_dataset, load_dataset, sample_batch,
+                               write_dataset)
 from wmdistill.distill import (FrozenTeacher, LatentProjection, distill_train_step,
                                fit_pca_projection)
 from wmdistill.envs import MultiTaskSuite, TASKS, UsageError
@@ -478,8 +479,8 @@ class _ReadRecorder:
 @pytest.mark.parametrize("mode", [None, "reward_only", "latent_linear", "latent_pca"])
 def test_resume_guard_covers_every_setting_the_update_reads(data_dir, teacher_ckpt,
                                                             mode):
-    # --resume compares _TRAIN_KEYS, so a setting the update step reads
-    # outside them could differ between a run and its resumption unnoticed
+    # _TRAIN_KEYS is what model.tdck records of its run, so a setting the
+    # update step reads outside them would be missing from that record
     dataset = load_dataset(data_dir)
     model = WorldModel(dataset.obs_dim, dataset.act_dim, "student", seed=3)
     teacher = FrozenTeacher.load(teacher_ckpt)
@@ -566,6 +567,8 @@ def test_gen_data_from_trained_rejects_other_task_list(tmp_path, capsys, tasks):
 
 @pytest.mark.parametrize("flag, value, named", [
     ("--tasks", "bogus", "unknown task 'bogus'"),
+    ("--tasks", "", "must name at least one task, each once, got ''"),
+    ("--tasks", "cup-catch,cup-catch", "each once, got 'cup-catch,cup-catch'"),
     ("--policy", "dagger", "unknown behavior policy spec 'dagger'"),
     ("--episodes-per-task", "0", "episodes per task must be >= 1")])
 def test_gen_data_bad_input_is_usage_error(tmp_path, capsys, flag, value, named):
@@ -575,6 +578,24 @@ def test_gen_data_bad_input_is_usage_error(tmp_path, capsys, flag, value, named)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "ds").exists()
+
+
+def test_train_on_a_dataset_of_another_task_layout_is_usage_error(tmp_path, capsys):
+    # the layout a repeated task used to give: one more one-hot column than
+    # the task list has tasks
+    data = generate_dataset(tmp_path / "data", num_episodes=1, policy="random", seed=3,
+                            tasks=("cup-catch",))
+    wide = np.hstack([data.obs, np.zeros((len(data.obs), 1), np.float32)])
+    (tmp_path / "wide").mkdir()
+    write_dataset(Dataset(tmp_path / "wide", wide, data.actions, data.rewards,
+                          data.records))
+    rc = main(["train", "--dataset", str(tmp_path / "wide"), "--out", str(tmp_path / "t"),
+               "--steps", "1", "--batch-size", "4", "--eval-episodes", "0"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / 'wide'} holds 7-wide observations; its tasks cup-catch "
+        "give another layout")
+    assert not (tmp_path / "t").exists()
 
 
 # (command, flag, value): each setting is out of range; the eval cases also
@@ -889,8 +910,8 @@ def _resume_argv(command, data_dir, out, resume, steps, seed, flags):
     ("trainstate.tdck", 40, 31, "lr '0.0003'", {"lr": 0.001}),
     ("trainstate.tdck", 40, 31, "preset 'student'", {"preset": "teacher-S"}),
     ("trainstate.tdck", 40, 31, "teacher_fingerprint", {"teacher": "model.tdck"}),
-    ("trainstate.tdck", 40, 31, "log_interval: loss_rows", {"log_interval": 2}),
-    ("trainstate.tdck", 40, 31, "eval_every: metric_rows",
+    ("trainstate.tdck", 40, 31, "log_interval '5'", {"log_interval": 2}),
+    ("trainstate.tdck", 40, 31, "eval_every '0'",
      {"eval_every": 10, "eval_episodes": 1})])
 def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt,
                                                           tmp_path, capsys, resume,
@@ -916,6 +937,55 @@ def test_resume_of_another_or_finished_run_writes_nothing(data_dir, teacher_ckpt
         run_training(RunConfig(dataset=str(data_dir), out=str(out), seed=seed,
                                resume=str(resume),
                                **{**FAST, "steps": steps, **changed}))
+    assert not out.exists()
+
+
+# the paths a trainstate's record leaves out, whose content the dataset's
+# sha256 and the teacher's fingerprint stand for, and `steps`, which a
+# resume may raise
+_UNRECORDED = {"dataset", "out", "teacher", "resume", "steps"}
+
+# for each other RunConfig setting, a valid value that differs from the one
+# `resumed_setting_run` trained with
+OTHER_SETTING = dict(
+    seed=32, batch_size=4, preset="teacher-S", activation="tanh", lr=0.001, gamma=0.9,
+    tau=0.05, alpha_consistency=2.0, alpha_reward=2.0, alpha_value=1.0, rho=0.7,
+    horizon=2, d_coef=0.25, mode="latent_linear", latent_coef=0.5, log_interval=4,
+    eval_every=10, eval_episodes=1, plan_horizon=3, plan_samples=32, plan_elites=4,
+    plan_iterations=2, plan_temperature=1.0)
+
+
+@pytest.fixture(scope="module")
+def resumed_setting_run(tmp_path_factory, data_dir, teacher_ckpt):
+    """A finished 20-step distill run; its config and trainstate."""
+    done = tmp_path_factory.mktemp("resumed_setting_run")
+    distill = {"d_coef": 0.5, "teacher": str(teacher_ckpt)}
+    assert main(_resume_argv("distill", data_dir, done, "", 20, 31, distill)) == EXIT_OK
+    return read_config(done / "config.txt"), done / "trainstate.tdck"
+
+
+def test_other_setting_covers_every_setting_a_trainstate_records(
+        data_dir, resumed_setting_run, tmp_path):
+    assert set(OTHER_SETTING) == {f.name for f in fields(RunConfig)} - _UNRECORDED
+    config, trainstate = resumed_setting_run
+    # the same settings resume
+    resumed = tmp_path / "resumed"
+    assert main(_resume_argv("distill", data_dir, resumed, trainstate, 25, 31,
+                             {"d_coef": 0.5, "teacher": config["teacher"]})) == EXIT_OK
+    assert (resumed / "model.tdck").exists()
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SETTING))
+def test_resume_with_any_setting_changed_is_refused(data_dir, resumed_setting_run,
+                                                    tmp_path, capsys, name):
+    config, trainstate = resumed_setting_run
+    out, value = tmp_path / "resumed", OTHER_SETTING[name]
+    assert value != config[name]
+    changed = {"d_coef": 0.5, "teacher": config["teacher"], name: value}
+    rc = main(_resume_argv("distill", data_dir, out, trainstate, 40, 31, changed))
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"is from another run: {name} {str(config[name])!r} (run: {str(value)!r})" in err
     assert not out.exists()
 
 
@@ -1356,7 +1426,7 @@ def test_resume_on_another_dataset_is_refused_before_any_write(tmp_path, capsys)
     old = read_checkpoint(done / "trainstate.tdck")
     del old.metadata["dataset_sha256"]
     write_checkpoint(done / "old.tdck", old)
-    with pytest.raises(ResumeMismatchError, match="holds no dataset_sha256"):
+    with pytest.raises(ResumeMismatchError, match="dataset_sha256 None"):
         run_training(RunConfig(dataset=str(tmp_path / "data1"), out=str(out), seed=31,
                                resume=str(done / "old.tdck"), **{**FAST, "steps": 40}))
     assert not out.exists()
